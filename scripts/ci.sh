@@ -105,7 +105,7 @@ for preset in "${presets[@]}"; do
       cmake --build "${load_dir}" -j "${jobs}" --target \
         serve_wfq_test load_arrival_test load_generator_test load_qos_test \
         load_autoscale_test load_determinism_test serve_stress_test \
-        serve_throughput serve_load
+        serve_golden_test serve_throughput serve_load
       echo "=== ci preset load: load + serve suites under TSan ==="
       "${load_dir}/tests/serve_wfq_test"
       "${load_dir}/tests/load_arrival_test"
@@ -116,6 +116,8 @@ for preset in "${presets[@]}"; do
       "${load_dir}/tests/load_autoscale_test"
       "${load_dir}/tests/load_determinism_test"
       "${load_dir}/tests/serve_stress_test"
+      # Pinned serve outputs for both binding modes (eager and late).
+      "${load_dir}/tests/serve_golden_test"
       # The bench smoke runs against an unsanitized build: the offered-load
       # sweep is 10-20x slower under TSan, blowing past the checker's
       # per-binary subprocess timeout. The QoS assertions don't need TSan —

@@ -311,10 +311,9 @@ class Engine {
   /// out so blocked drivers observe aborted_ and exit.
   void abort_launch(std::exception_ptr error);
 
-  /// Effective state of a seeded protocol bug: the legacy Options::fault
-  /// toggle ORed with a matching always-on spec on the runtime's fault plane.
-  bool seeded_bug(fault::FaultKind kind, bool legacy_toggle) const {
-    if (legacy_toggle) return true;
+  /// Whether a seeded protocol bug is on: an always-on spec of `kind` on the
+  /// runtime's fault plane (test-only; see fault::FaultKind).
+  bool seeded_bug(fault::FaultKind kind) const {
     fault::FaultPlane* plane = runtime_.fault_plane();
     return plane != nullptr &&
            plane->protocol_bug(kind, runtime_.fault_device());
@@ -602,8 +601,7 @@ sim::Task<> Engine::compute_driver(gpusim::BlockCtx& ctx, BlockState& block,
                                    const Kernel& kernel) {
   const std::uint32_t c_threads = options_.compute_threads_per_block;
   for (std::uint64_t chunk = 0; chunk < block.chunks; ++chunk) {
-    if (seeded_bug(fault::FaultKind::kSkipDataReadyWait,
-                   options_.fault.skip_data_ready_wait)) {
+    if (seeded_bug(fault::FaultKind::kSkipDataReadyWait)) {
       // Seeded bug: wait for the *previous* chunk's flag only (none at all
       // for chunk 0) — the compute stage races the staged DMA.
       if (chunk > 0) co_await block.data_ready.wait_ge(chunk);
@@ -617,7 +615,7 @@ sim::Task<> Engine::compute_driver(gpusim::BlockCtx& ctx, BlockState& block,
                                    block.data_ready.value());
     }
     if (chunk_cache_ != nullptr &&
-        seeded_bug(fault::FaultKind::kStaleCache, options_.fault.stale_cache)) {
+        seeded_bug(fault::FaultKind::kStaleCache)) {
       // Seeded bug: yank every cache entry backing this chunk out from under
       // the compute stage after the hit was declared — the
       // reuse-after-invalidation protocol violation.
@@ -653,8 +651,7 @@ sim::Task<> Engine::compute_driver(gpusim::BlockCtx& ctx, BlockState& block,
       const sim::TimePs landed = runtime_.gpu().post_d2h(wb_bytes);
       runtime_.gpu().set_flag_at(block.wb_landed, chunk + 1,
                                  std::max(landed, sim().now()));
-      if (seeded_bug(fault::FaultKind::kEarlyRingRelease,
-                     options_.fault.early_ring_release)) {
+      if (seeded_bug(fault::FaultKind::kEarlyRingRelease)) {
         // Seeded bug: hand the ring slot back while the write-back scatter
         // is still in flight — assembly may overwrite live staged writes.
         // (Deliberately no on_slot_release: the slot is NOT actually safe.)

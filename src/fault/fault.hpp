@@ -48,12 +48,12 @@ enum class FaultKind : std::uint8_t {
   kEccCorrupt,         // H2D lands, then device bytes are corrupted
   kPinnedAllocFail,    // pinned staging allocation throws PinnedAllocError
   kStageStall,         // assembly stage stalls for `stall` picoseconds
-  // Seeded protocol bugs (formerly core::Options::FaultInjection): always-on
-  // behaviors used by the checker tests, named here so one registry covers
-  // every injectable fault.
-  kSkipDataReadyWait,
-  kEarlyRingRelease,
-  kStaleCache,
+  // Seeded protocol bugs: always-on, test-only behaviors that break a
+  // pipeline invariant so the checker tests can prove they catch real bugs.
+  kSkipDataReadyWait,  // compute skips the current chunk's data_ready wait
+  kEarlyRingRelease,   // compute frees its ring slot before write-back drains
+  kStaleCache,         // a hit's cache entries are invalidated before compute
+                       // reads them (reuse-after-invalidation)
   // bigkdur silent-corruption family: a single bit flips somewhere along the
   // chunk's custody chain and *no* error is reported — the integrity plane
   // (dur::Integrity checksums) is the only thing that can catch it.

@@ -126,8 +126,10 @@ class Scheduler {
   /// input. Ties break towards the lowest device index. Returns the
   /// num_devices() sentinel when every device is unavailable. The optional
   /// `eligible` mask (one entry per device) further restricts the candidate
-  /// set — the QoS dispatcher passes the set of idle placeable devices so
-  /// placement stays late-bound under weighted-fair ordering.
+  /// set — the serve dispatcher passes the devices its binding mode allows:
+  /// the idle placeable ones under late binding (so placement happens at
+  /// dispatch time, under weighted-fair order), every placeable one under
+  /// eager binding.
   std::uint32_t pick_device(const std::string& app, std::uint64_t input_bytes,
                             const std::vector<std::uint8_t>* eligible =
                                 nullptr) {

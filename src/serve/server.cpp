@@ -38,6 +38,38 @@ constexpr std::uint32_t kStagingRegionBase = 9000;
 
 double to_ms(sim::DurationPs ps) { return static_cast<double>(ps) / 1e9; }
 
+sim::DurationPs ms_to_ps(double ms) {
+  return static_cast<sim::DurationPs>(ms * 1e9 + 0.5);
+}
+
+struct Percentiles {
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
+/// P² percentiles of a non-empty latency sketch, clamped monotone so
+/// p50 <= p95 <= p99 always holds (the per-quantile cells are independent).
+Percentiles monotone_percentiles(const obs::prof::QuantileSketch& sketch) {
+  Percentiles p;
+  p.p50_ms = sketch.quantile(0.50);
+  p.p95_ms = std::max(p.p50_ms, sketch.quantile(0.95));
+  p.p99_ms = std::max(p.p95_ms, sketch.quantile(0.99));
+  return p;
+}
+
+/// Stores the sketch's monotone percentiles in a ServeReport or TenantReport
+/// (left at zero when the sketch saw no completion).
+template <class Report>
+void store_percentiles(Report& report,
+                       const obs::prof::QuantileSketch& sketch) {
+  if (sketch.count() == 0) return;
+  const Percentiles p = monotone_percentiles(sketch);
+  report.latency_p50 = ms_to_ps(p.p50_ms);
+  report.latency_p95 = ms_to_ps(p.p95_ms);
+  report.latency_p99 = ms_to_ps(p.p99_ms);
+}
+
 /// Cache dataset identity of an app's generated input: apps regenerate the
 /// same dataset from the same seed on every runner, so the app name is the
 /// dataset.
@@ -53,6 +85,9 @@ struct Job {
   /// bigkstatic pattern signature of the (verified) app, 0 when the
   /// verification gate is disabled.
   std::uint64_t static_signature = 0;
+  /// Index into ServerState::tenants (0, the implicit tenant, when no
+  /// tenants are configured).
+  std::uint32_t tenant = 0;
   /// bigkload closed loop: raised once when the job settles, so the owning
   /// chain client can submit its next link (null in open-loop runs).
   std::unique_ptr<sim::Flag> done;
@@ -70,7 +105,7 @@ struct ServerState {
   HealthMonitor health;
   /// One FIFO per device; its worker is the single consumer, so jobs on one
   /// device serialize in dispatch order.
-  std::vector<std::unique_ptr<sim::Channel<Job*>>> dispatch;
+  std::vector<std::unique_ptr<sim::Channel<Job*>>> device_queues;
   /// bigkhetero: FIFO of jobs spilled to host-core execution (null unless
   /// hetero.spill_enabled). Its single cpu_worker serializes spilled jobs,
   /// so the host cores never oversubscribe across concurrent spills.
@@ -129,18 +164,21 @@ struct ServerState {
   /// the makespan never includes a trailing probe tick.
   sim::TimePs finish_time = 0;
   // --- bigkload QoS plane --------------------------------------------------
-  /// QoS mode is on iff tenants are configured; admitted jobs then pass
-  /// through the WFQ stage instead of being placed at admission.
-  bool qos_mode = false;
+  /// The configured tenants, or one implicit tenant (weight 1, no quota, no
+  /// think time, FIFO order) when none are configured.
+  std::vector<TenantConfig> tenants;
+  /// Binding mode, set by whether tenants are configured. Late (tenanted):
+  /// the dispatcher hands a job only to an idle device, so placement is
+  /// chosen at dispatch time under the tenant queue's order. Eager
+  /// (untenanted): any placeable device may take a job, so an admitted job
+  /// is placed at once.
+  bool late_binding = false;
   /// Admitted-but-unfinished jobs per tenant (quota enforcement).
   std::vector<std::uint32_t> tenant_outstanding;
+  /// Every admitted job that is not spilled waits here for the dispatcher.
   std::unique_ptr<QosQueue<Job*>> qos_queue;
-  /// Monotone event counter waking the dispatcher: enqueue, device freed,
-  /// scale-up, shutdown.
-  sim::Flag dispatch_events{sim};
-  /// Jobs queued-or-running per device. The dispatcher only hands a job to
-  /// an idle device, keeping placement late-bound under WFQ ordering
-  /// (redispatch after a failure may push the count past 1).
+  /// Jobs queued-or-running per device (redispatch after a failure may push
+  /// the count past 1).
   std::vector<std::uint32_t> inflight;
   std::unique_ptr<Autoscaler> autoscaler;
   /// Decision-period signal windows for the autoscaler daemon (the latency
@@ -190,7 +228,7 @@ struct ServerState {
       integrity->attach_observability(cfg.metrics, cfg.tracer);
     }
     for (std::uint32_t d = 0; d < pool.size(); ++d) {
-      dispatch.push_back(std::make_unique<sim::Channel<Job*>>(sim));
+      device_queues.push_back(std::make_unique<sim::Channel<Job*>>(sim));
     }
     if (cfg.hetero.spill_enabled) {
       cpu_dispatch = std::make_unique<sim::Channel<Job*>>(sim);
@@ -224,17 +262,15 @@ struct ServerState {
                    caches[device]->resident_bytes(dataset_id_of(app));
           });
     }
-    qos_mode = !cfg.qos.tenants.empty();
-    if (qos_mode) {
-      std::vector<std::uint32_t> weights;
-      weights.reserve(cfg.qos.tenants.size());
-      for (const TenantConfig& tenant : cfg.qos.tenants) {
-        weights.push_back(tenant.weight);
-      }
-      qos_queue = std::make_unique<QosQueue<Job*>>(cfg.qos.discipline, weights);
-      tenant_outstanding.assign(cfg.qos.tenants.size(), 0);
-      inflight.assign(pool.size(), 0);
-    }
+    late_binding = !cfg.qos.tenants.empty();
+    tenants = late_binding ? cfg.qos.tenants : std::vector<TenantConfig>(1);
+    std::vector<std::uint32_t> weights;
+    weights.reserve(tenants.size());
+    for (const TenantConfig& tenant : tenants) weights.push_back(tenant.weight);
+    qos_queue = std::make_unique<QosQueue<Job*>>(
+        late_binding ? cfg.qos.discipline : Discipline::kFifo, weights);
+    tenant_outstanding.assign(tenants.size(), 0);
+    inflight.assign(pool.size(), 0);
     if (cfg.metrics != nullptr) {
       queue.attach_metrics(*cfg.metrics, metrics_scope);
     }
@@ -300,23 +336,125 @@ void spill_job(ServerState& st, Job& job) {
   st.cpu_dispatch->push(&job);
 }
 
+/// Queues `job` on `device`'s worker FIFO and books the placement.
+void place(ServerState& st, Job& job, std::uint32_t device) {
+  job.record.device = device;
+  job.record.warm = st.scheduler.resident_app(device) == job.record.spec.app;
+  st.scheduler.on_dispatch(device, job.record.spec.app,
+                           job.record.input_bytes);
+  ++st.inflight[device];
+  st.device_queues[device]->push(&job);
+}
+
+/// Gives back `job`'s share of `device` (its outstanding bytes and its
+/// queued-or-running slot).
+void release_device(ServerState& st, std::uint32_t device, const Job& job) {
+  st.scheduler.on_complete(device, job.record.input_bytes);
+  if (st.inflight[device] > 0) --st.inflight[device];
+}
+
+/// The dispatcher: hands queued jobs, in the tenant queue's order, to the
+/// devices the binding mode allows, until the queue is empty or no device
+/// is eligible. Late binding picks among idle placeable devices only, so
+/// weighted-fair order composes with the placement policy instead of
+/// fighting it; eager binding lets every placeable device take a job. It
+/// runs synchronously whenever dispatch state changes: a job admitted, a
+/// device freed or redispatched to, a device scaled up.
+void dispatch(ServerState& st) {
+  while (!st.qos_queue->empty()) {
+    std::vector<std::uint8_t> eligible(st.pool.size(), 0);
+    bool any_eligible = false;
+    for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
+      if (st.scheduler.placeable(d) &&
+          (!st.late_binding || st.inflight[d] == 0)) {
+        eligible[d] = 1;
+        any_eligible = true;
+      }
+    }
+    if (!any_eligible) return;
+    Job& job = **st.qos_queue->pop();
+    const std::uint32_t device = st.scheduler.pick_device(
+        job.record.spec.app, job.record.input_bytes, &eligible);
+    if (device >= st.pool.size()) {
+      throw std::logic_error("dispatcher: eligible set yielded no device");
+    }
+    place(st, job, device);
+  }
+}
+
+/// Failure epilogue: `job` was admitted but is abandoned (no device left to
+/// take its redispatch, or the simulated crash stranded it). It gives back
+/// its admission slot and tenant quota and settles as failed so the run
+/// drains; the caller has already released any device it held.
+void fail_job(ServerState& st, Job& job, const std::string& reason) {
+  job.record.failed = true;
+  st.queue.release();
+  --st.tenant_outstanding[job.tenant];
+  dispatch(st);
+  st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
+                         " failed: " + reason);
+  st.settle_job(job);
+}
+
+/// Completion epilogue shared by the device and CPU workers. `device` is
+/// the device the job ran on, or empty for a job spilled to the host cores
+/// (which held no device slot).
+void complete_job(ServerState& st, Job& job,
+                  std::optional<std::uint32_t> device) {
+  JobRecord& record = job.record;
+  record.finish_time = st.sim.now();
+  record.completed = true;
+  if (record.spec.deadline > 0) {
+    record.deadline_met =
+        record.finish_time - record.spec.submit_time <= record.spec.deadline;
+  }
+  st.completion_order.push_back(record.spec.id);
+  if (device.has_value()) {
+    release_device(st, *device, job);
+  } else {
+    ++st.cpu_completed;
+  }
+  st.queue.release();
+  --st.tenant_outstanding[job.tenant];
+  dispatch(st);
+  const double latency_ms = to_ms(record.latency());
+  st.latency_sketch.observe(latency_ms);
+  if (st.scaler_latency != nullptr) st.scaler_latency->observe(latency_ms);
+  if (st.completions != nullptr) {
+    st.completions->add(record.finish_time);
+    if (device.has_value()) {
+      st.device_completions[*device]->add(record.finish_time);
+    }
+  }
+  st.settle_job(job);
+  if (st.config.tracer != nullptr) {
+    const obs::TrackId track = st.config.tracer->track(
+        "serve", device.has_value() ? st.pool.device(*device).device_name()
+                                    : std::string("cpu spill"));
+    const obs::SpanArg kind =
+        device.has_value() ? obs::SpanArg{"warm", record.warm ? 1.0 : 0.0}
+                           : obs::SpanArg{"spilled", 1.0};
+    st.config.tracer->complete(
+        track, record.spec.app, record.start_time, record.finish_time,
+        "serve", {{"job", static_cast<double>(record.spec.id)}, kind});
+  }
+}
+
 /// Runs one job through admission control: keeps resubmitting until accepted
 /// or out of retries. Rejections — queue full, the whole pool quarantined, or
-/// (QoS mode) the job's tenant at its admission quota — return an escalating
+/// the job's tenant at its admission quota — return an escalating
 /// retry-after hint the client honors verbatim; the escalation streak is
 /// keyed by the submitting client when the workload names one, by the job id
-/// otherwise. An accepted job is placed immediately in the legacy path, or
-/// enters the WFQ stage for the dispatcher in QoS mode.
+/// otherwise. An accepted job either spills to the host cores or enters the
+/// tenant queue, and the dispatcher runs at once.
 sim::Task<> submit_one(ServerState& st, Job& job) {
   const std::uint64_t client_key = job.record.spec.client != 0
                                        ? job.record.spec.client
                                        : job.record.spec.id;
-  const std::uint32_t tenant = job.record.spec.tenant;
+  const std::uint32_t quota = st.tenants[job.tenant].quota;
   for (std::uint32_t attempt = 0;; ++attempt) {
     sim::DurationPs retry_after = 0;
-    const std::uint32_t quota =
-        st.qos_mode ? st.config.qos.tenants[tenant].quota : 0;
-    if (quota > 0 && st.tenant_outstanding[tenant] >= quota) {
+    if (quota > 0 && st.tenant_outstanding[job.tenant] >= quota) {
       retry_after = st.queue.reject(RejectCause::kTenantQuota, client_key);
     } else if (!st.scheduler.any_available() &&
                !st.config.hetero.spill_enabled) {
@@ -326,25 +464,12 @@ sim::Task<> submit_one(ServerState& st, Job& job) {
       if (admission.accepted) {
         job.record.admitted = true;
         job.record.admit_time = st.sim.now();
-        if (st.qos_mode) {
-          ++st.tenant_outstanding[tenant];
-          if (should_spill(st)) {
-            spill_job(st, job);
-          } else {
-            st.qos_queue->push(tenant, &job, job.record.input_bytes >> 10);
-            st.dispatch_events.increment();
-          }
-        } else if (should_spill(st)) {
+        ++st.tenant_outstanding[job.tenant];
+        if (should_spill(st)) {
           spill_job(st, job);
         } else {
-          const std::uint32_t device = st.scheduler.pick_device(
-              job.record.spec.app, job.record.input_bytes);
-          job.record.device = device;
-          job.record.warm =
-              st.scheduler.resident_app(device) == job.record.spec.app;
-          st.scheduler.on_dispatch(device, job.record.spec.app,
-                                   job.record.input_bytes);
-          st.dispatch[device]->push(&job);
+          st.qos_queue->push(job.tenant, &job, job.record.input_bytes >> 10);
+          dispatch(st);
         }
         co_return;  // settles when its worker finishes it
       }
@@ -359,19 +484,13 @@ sim::Task<> submit_one(ServerState& st, Job& job) {
   }
 }
 
-/// One open-loop client: waits until the job's arrival time, then submits.
-sim::Task<> client(ServerState& st, Job& job) {
-  if (job.record.spec.submit_time > 0) {
-    co_await st.sim.delay(job.record.spec.submit_time);
-  }
-  co_await submit_one(st, job);
-}
-
-/// One closed-loop client: its jobs (all sharing one JobSpec::client) form a
-/// chain — each link submits only after the previous settled plus the
-/// tenant's think time, and its submit timestamp is re-stamped to the actual
-/// instant so latency is measured from the real submission. A shed link does
-/// not break the chain.
+/// One client: a chain of jobs, each submitted in turn. In open loop every
+/// job is its own one-link chain and submits at its stamped instant. In
+/// closed loop the jobs sharing one JobSpec::client form the chain: each
+/// later link submits only after the previous one settled plus the tenant's
+/// think time, and its submit timestamp is re-stamped to the actual instant
+/// so latency is measured from the real submission. A shed link does not
+/// break the chain.
 sim::Task<> chain_client(ServerState& st, std::vector<std::size_t> chain) {
   for (std::size_t k = 0; k < chain.size(); ++k) {
     Job& job = st.jobs[chain[k]];
@@ -380,57 +499,41 @@ sim::Task<> chain_client(ServerState& st, std::vector<std::size_t> chain) {
         co_await st.sim.delay(job.record.spec.submit_time);
       }
     } else {
-      const sim::DurationPs think =
-          st.config.qos.tenants[job.record.spec.tenant].think_time;
+      const Job& previous = st.jobs[chain[k - 1]];
+      if (previous.record.admitted) co_await previous.done->wait_ge(1);
+      const sim::DurationPs think = st.tenants[job.tenant].think_time;
       if (think > 0) co_await st.sim.delay(think);
       job.record.spec.submit_time = st.sim.now();
     }
     co_await submit_one(st, job);
-    if (job.record.admitted) co_await job.done->wait_ge(1);
   }
 }
 
 /// Hands an admitted job that cannot run on `from_device` (its run failed,
-/// or it was queued behind a quarantine) to the best available device; with
-/// the whole pool quarantined the job is abandoned as failed.
+/// or it was queued behind a quarantine) to the best available device. It
+/// keeps its admission and skips the tenant queue: on a busy target it
+/// waits behind the device's current job. With nothing placeable left the
+/// job spills to the host cores when spill-over is enabled, and is abandoned
+/// as failed otherwise.
 void redispatch(ServerState& st, std::uint32_t from_device, Job& job) {
-  st.scheduler.on_complete(from_device, job.record.input_bytes);
-  if (st.qos_mode) {
-    if (st.inflight[from_device] > 0) --st.inflight[from_device];
-    st.dispatch_events.increment();
-  }
+  release_device(st, from_device, job);
   const std::uint32_t target =
       st.scheduler.any_available()
           ? st.scheduler.pick_device(job.record.spec.app,
                                      job.record.input_bytes)
           : st.pool.size();
-  if (target >= st.pool.size()) {
-    if (st.config.hetero.spill_enabled) {
-      // bigkhetero: instead of abandoning the job, hand it to the host
-      // cores. The job keeps its admission slot (and tenant quota) until
-      // the cpu_worker completes it.
-      ++job.record.redispatches;
-      spill_job(st, job);
-      return;
-    }
-    job.record.failed = true;
-    st.queue.release();
-    if (st.qos_mode) --st.tenant_outstanding[job.record.spec.tenant];
-    st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
-                           " failed: no device");
-    st.settle_job(job);
-    return;
+  if (target < st.pool.size()) {
+    ++job.record.redispatches;
+    place(st, job, target);
+    dispatch(st);
+  } else if (st.config.hetero.spill_enabled) {
+    // The job keeps its admission slot (and tenant quota) until the
+    // cpu_worker completes it.
+    ++job.record.redispatches;
+    spill_job(st, job);
+  } else {
+    fail_job(st, job, "no device");
   }
-  ++job.record.redispatches;
-  job.record.device = target;
-  job.record.warm = st.scheduler.resident_app(target) == job.record.spec.app;
-  st.scheduler.on_dispatch(target, job.record.spec.app,
-                           job.record.input_bytes);
-  // A redispatched job keeps its admission and skips the WFQ stage: it bumps
-  // the target's inflight count past the dispatcher's one-job limit, which
-  // simply queues it behind the device's current job.
-  if (st.qos_mode) ++st.inflight[target];
-  st.dispatch[target]->push(&job);
 }
 
 /// Quarantine transition for `device`: no new placements, and its chunk
@@ -495,22 +598,6 @@ sim::Task<> scrub_daemon(ServerState& st, std::uint32_t device) {
   }
 }
 
-/// Epilogue for a job the simulated crash stranded on a worker: it settles
-/// as failed (releasing its admission slot and device) so the run drains.
-void fail_crashed_job(ServerState& st, std::uint32_t device_index, Job& job) {
-  job.record.failed = true;
-  st.scheduler.on_complete(device_index, job.record.input_bytes);
-  st.queue.release();
-  if (st.qos_mode) {
-    --st.tenant_outstanding[job.record.spec.tenant];
-    if (st.inflight[device_index] > 0) --st.inflight[device_index];
-    st.dispatch_events.increment();
-  }
-  st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
-                         " failed: server crashed");
-  st.settle_job(job);
-}
-
 /// bigkprof telemetry daemon: once per profiling window, folds per-tick
 /// deltas of the pool's DMA/compute totals into the windowed stats, publishes
 /// the live throughput signals as tracer counter tracks, and evaluates the
@@ -569,12 +656,10 @@ sim::Task<> telemetry_daemon(ServerState& st) {
     if (!st.slo.rules().empty()) {
       std::map<std::string, double> values;
       if (st.latency_sketch.count() > 0) {
-        const double p50 = st.latency_sketch.quantile(0.50);
-        const double p95 = std::max(p50, st.latency_sketch.quantile(0.95));
-        const double p99 = std::max(p95, st.latency_sketch.quantile(0.99));
-        values["p50_ms"] = p50;
-        values["p95_ms"] = p95;
-        values["p99_ms"] = p99;
+        const Percentiles p = monotone_percentiles(st.latency_sketch);
+        values["p50_ms"] = p.p50_ms;
+        values["p95_ms"] = p.p95_ms;
+        values["p99_ms"] = p.p99_ms;
       }
       values["throughput_jobs_per_s"] = st.completions->rate_per_s(now);
       values["queue_depth"] =
@@ -600,7 +685,7 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
   hostsim::HostThread staging = st.pool.cpu().make_thread(2);
   staging.set_trace_label(device.device_name() + " staging");
   while (true) {
-    std::optional<Job*> item = co_await st.dispatch[device_index]->pop();
+    std::optional<Job*> item = co_await st.device_queues[device_index]->pop();
     if (!item.has_value()) break;  // channel closed and drained
     Job& job = **item;
     if (st.health.quarantined(device_index)) {
@@ -609,7 +694,8 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
       continue;
     }
     if (st.crashed) {
-      fail_crashed_job(st, device_index, job);
+      release_device(st, device_index, job);
+      fail_job(st, job, "server crashed");
       continue;
     }
     job.record.start_time = st.sim.now();
@@ -722,7 +808,8 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
       }
     }
     if (crashed_out) {
-      fail_crashed_job(st, device_index, job);
+      release_device(st, device_index, job);
+      fail_job(st, job, "server crashed");
       continue;
     }
     if (failure != nullptr) {
@@ -733,45 +820,13 @@ sim::Task<> device_worker(ServerState& st, std::uint32_t device_index) {
       continue;
     }
     st.health.on_success(device_index);
-    job.record.finish_time = st.sim.now();
-    job.record.completed = true;
-    if (job.record.spec.deadline > 0) {
-      job.record.deadline_met =
-          job.record.finish_time - job.record.spec.submit_time <=
-          job.record.spec.deadline;
-    }
-    st.completion_order.push_back(job.record.spec.id);
-    st.scheduler.on_complete(device_index, job.record.input_bytes);
-    st.queue.release();
-    if (st.qos_mode) {
-      --st.tenant_outstanding[job.record.spec.tenant];
-      if (st.inflight[device_index] > 0) --st.inflight[device_index];
-      st.dispatch_events.increment();
-    }
-    st.latency_sketch.observe(to_ms(job.record.latency()));
-    if (st.scaler_latency != nullptr) {
-      st.scaler_latency->observe(to_ms(job.record.latency()));
-    }
-    if (st.completions != nullptr) {
-      st.completions->add(job.record.finish_time);
-      st.device_completions[device_index]->add(job.record.finish_time);
-    }
-    st.settle_job(job);
-    if (st.config.tracer != nullptr) {
-      const obs::TrackId track =
-          st.config.tracer->track("serve", device.device_name());
-      st.config.tracer->complete(
-          track, job.record.spec.app, job.record.start_time,
-          job.record.finish_time, "serve",
-          {{"job", static_cast<double>(job.record.spec.id)},
-           {"warm", job.record.warm ? 1.0 : 0.0}});
-    }
+    complete_job(st, job, device_index);
   }
 }
 
 /// bigkhetero CPU worker: drains spilled jobs one at a time, running each
 /// entirely on the shared host cores (JobRunner::run_cpu — no staging, no
-/// DMA, no engine). Completion mirrors device_worker's epilogue minus the
+/// DMA, no engine), through the same epilogues as device_worker minus the
 /// device-side bookkeeping (no scheduler slot or health state was taken).
 sim::Task<> cpu_worker(ServerState& st) {
   while (true) {
@@ -779,16 +834,7 @@ sim::Task<> cpu_worker(ServerState& st) {
     if (!item.has_value()) break;  // channel closed and drained
     Job& job = **item;
     if (st.crashed) {
-      // No device slot was taken for a spilled job; release admission only.
-      job.record.failed = true;
-      st.queue.release();
-      if (st.qos_mode) {
-        --st.tenant_outstanding[job.record.spec.tenant];
-        st.dispatch_events.increment();
-      }
-      st.trace_serve_instant("job " + std::to_string(job.record.spec.id) +
-                             " failed: server crashed");
-      st.settle_job(job);
+      fail_job(st, job, "server crashed");
       continue;
     }
     job.record.start_time = st.sim.now();
@@ -804,77 +850,7 @@ sim::Task<> cpu_worker(ServerState& st) {
       st.config.dur.journal->mark_complete(job.record.spec.id, total,
                                            job.runner->output_digest(total));
     }
-    job.record.finish_time = st.sim.now();
-    job.record.completed = true;
-    if (job.record.spec.deadline > 0) {
-      job.record.deadline_met =
-          job.record.finish_time - job.record.spec.submit_time <=
-          job.record.spec.deadline;
-    }
-    st.completion_order.push_back(job.record.spec.id);
-    st.queue.release();
-    if (st.qos_mode) {
-      --st.tenant_outstanding[job.record.spec.tenant];
-      st.dispatch_events.increment();
-    }
-    ++st.cpu_completed;
-    st.latency_sketch.observe(to_ms(job.record.latency()));
-    if (st.scaler_latency != nullptr) {
-      st.scaler_latency->observe(to_ms(job.record.latency()));
-    }
-    if (st.completions != nullptr) {
-      st.completions->add(job.record.finish_time);
-    }
-    st.settle_job(job);
-    if (st.config.tracer != nullptr) {
-      const obs::TrackId track =
-          st.config.tracer->track("serve", "cpu spill");
-      st.config.tracer->complete(
-          track, job.record.spec.app, job.record.start_time,
-          job.record.finish_time, "serve",
-          {{"job", static_cast<double>(job.record.spec.id)},
-           {"spilled", 1.0}});
-    }
-  }
-}
-
-/// bigkload dispatcher: pairs WFQ-ordered admitted jobs with idle placeable
-/// devices. Placement is late-bound — the device is chosen at dispatch time
-/// from the currently idle set (via the scheduler's eligibility mask), so
-/// weighted-fair ordering composes with the configured placement policy
-/// instead of fighting it.
-sim::Task<> qos_dispatcher(ServerState& st) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    co_await st.dispatch_events.wait_ge(seen + 1);
-    seen = st.dispatch_events.value();
-    if (st.shutdown) co_return;
-    while (!st.qos_queue->empty()) {
-      std::vector<std::uint8_t> eligible(st.pool.size(), 0);
-      bool any_idle = false;
-      for (std::uint32_t d = 0; d < st.pool.size(); ++d) {
-        if (st.scheduler.placeable(d) && st.inflight[d] == 0) {
-          eligible[d] = 1;
-          any_idle = true;
-        }
-      }
-      if (!any_idle) break;
-      std::optional<Job*> item = st.qos_queue->pop();
-      if (!item.has_value()) break;
-      Job& job = **item;
-      const std::uint32_t device = st.scheduler.pick_device(
-          job.record.spec.app, job.record.input_bytes, &eligible);
-      if (device >= st.pool.size()) {
-        throw std::logic_error("QoS dispatcher: idle set yielded no device");
-      }
-      job.record.device = device;
-      job.record.warm =
-          st.scheduler.resident_app(device) == job.record.spec.app;
-      st.scheduler.on_dispatch(device, job.record.spec.app,
-                               job.record.input_bytes);
-      ++st.inflight[device];
-      st.dispatch[device]->push(&job);
-    }
+    complete_job(st, job, std::nullopt);
   }
 }
 
@@ -914,7 +890,7 @@ sim::Task<> autoscaler_daemon(ServerState& st) {
         st.scheduler.set_active(pick, true);
         ++st.active_devices;
         st.trace_serve_instant("scale-up dev" + std::to_string(pick));
-        if (st.qos_mode) st.dispatch_events.increment();
+        dispatch(st);
       }
     } else if (step < 0) {
       for (std::uint32_t d = st.pool.size(); d-- > 0;) {
@@ -934,7 +910,7 @@ sim::Task<> autoscaler_daemon(ServerState& st) {
         ++st.active_devices;
         st.trace_serve_instant("scale-up dev" + std::to_string(d) +
                                " (failover)");
-        if (st.qos_mode) st.dispatch_events.increment();
+        dispatch(st);
         break;
       }
     }
@@ -954,7 +930,7 @@ sim::Task<> autoscaler_daemon(ServerState& st) {
 
 sim::Task<> serve_main(ServerState& st) {
   std::vector<sim::Process> clients;
-  if (st.qos_mode && st.config.qos.closed_loop) {
+  if (st.config.qos.closed_loop) {
     // Group jobs into per-client chains; spec order is preserved inside
     // each, and std::map keys make the spawn order deterministic.
     std::map<std::uint64_t, std::vector<std::size_t>> chains;
@@ -968,7 +944,9 @@ sim::Task<> serve_main(ServerState& st) {
     }
   } else {
     clients.reserve(st.jobs.size());
-    for (Job& job : st.jobs) clients.push_back(st.sim.spawn(client(st, job)));
+    for (std::size_t i = 0; i < st.jobs.size(); ++i) {
+      clients.push_back(st.sim.spawn(chain_client(st, {i})));
+    }
   }
   std::vector<sim::Process> workers;
   workers.reserve(st.pool.size());
@@ -979,8 +957,6 @@ sim::Task<> serve_main(ServerState& st) {
   if (st.cpu_dispatch != nullptr) {
     spill_worker = st.sim.spawn(cpu_worker(st));
   }
-  sim::Process dispatcher;
-  if (st.qos_mode) dispatcher = st.sim.spawn(qos_dispatcher(st));
   sim::Process scaler;
   if (st.autoscaler != nullptr) scaler = st.sim.spawn(autoscaler_daemon(st));
   sim::Process probe;
@@ -1010,12 +986,10 @@ sim::Task<> serve_main(ServerState& st) {
   co_await st.all_settled.wait_ge(st.jobs.size());
   st.finish_time = st.sim.now();
   st.shutdown = true;
-  if (st.qos_mode) st.dispatch_events.increment();  // wake for shutdown
-  for (auto& channel : st.dispatch) channel->close();
+  for (auto& channel : st.device_queues) channel->close();
   if (st.cpu_dispatch != nullptr) st.cpu_dispatch->close();
   for (sim::Process& process : workers) co_await process.join();
   if (spill_worker.valid()) co_await spill_worker.join();
-  if (dispatcher.valid()) co_await dispatcher.join();
   if (scaler.valid()) co_await scaler.join();
   if (probe.valid()) co_await probe.join();
   if (telemetry.valid()) co_await telemetry.join();
@@ -1029,18 +1003,20 @@ ServeReport run_server(const ServerConfig& config,
                        const std::vector<JobSpec>& specs,
                        const std::vector<apps::BenchApp>& suite) {
   ServerState state(config);
+  const bool tenanted = !config.qos.tenants.empty();
   state.jobs.reserve(specs.size());
   for (const JobSpec& spec : specs) {
     Job job;
     job.record.spec = spec;
-    if (state.qos_mode && spec.tenant >= config.qos.tenants.size()) {
+    if (tenanted && spec.tenant >= config.qos.tenants.size()) {
       throw std::invalid_argument(
           "job " + std::to_string(spec.id) + " names tenant index " +
           std::to_string(spec.tenant) + " but only " +
           std::to_string(config.qos.tenants.size()) +
           " tenants are configured");
     }
-    if (state.qos_mode && config.qos.closed_loop) {
+    job.tenant = tenanted ? spec.tenant : 0;
+    if (config.qos.closed_loop) {
       job.done = std::make_unique<sim::Flag>(state.sim);
     }
     const apps::BenchApp& app = apps::find_app(suite, spec.app);
@@ -1133,19 +1109,7 @@ ServeReport run_server(const ServerConfig& config,
     report.jobs.push_back(record);
   }
 
-  if (state.latency_sketch.count() > 0) {
-    // Streaming P² estimates, clamped monotone so p50 <= p95 <= p99 always
-    // holds in the report (the per-quantile cells are independent).
-    const double p50_ms = state.latency_sketch.quantile(0.50);
-    const double p95_ms = std::max(p50_ms, state.latency_sketch.quantile(0.95));
-    const double p99_ms = std::max(p95_ms, state.latency_sketch.quantile(0.99));
-    const auto to_ps = [](double ms) {
-      return static_cast<sim::DurationPs>(ms * 1e9 + 0.5);
-    };
-    report.latency_p50 = to_ps(p50_ms);
-    report.latency_p95 = to_ps(p95_ms);
-    report.latency_p99 = to_ps(p99_ms);
-  }
+  store_percentiles(report, state.latency_sketch);
   if (report.completed > 0) {
     const double n = static_cast<double>(report.completed);
     report.breakdown_admission_ms = to_ms(breakdown_sums.admission) / n;
@@ -1252,7 +1216,7 @@ ServeReport run_server(const ServerConfig& config,
     report.offered_jobs_per_s = static_cast<double>(report.jobs.size()) /
                                 (static_cast<double>(offered_window) * 1e-12);
   }
-  if (state.qos_mode) {
+  if (tenanted) {
     const std::vector<TenantConfig>& tenants_cfg = config.qos.tenants;
     report.tenants.resize(tenants_cfg.size());
     std::vector<obs::prof::QuantileSketch> sketches(tenants_cfg.size());
@@ -1286,17 +1250,7 @@ ServeReport run_server(const ServerConfig& config,
     std::vector<double> normalized;
     for (std::size_t t = 0; t < tenants_cfg.size(); ++t) {
       TenantReport& tenant = report.tenants[t];
-      if (sketches[t].count() > 0) {
-        const double p50 = sketches[t].quantile(0.50);
-        const double p95 = std::max(p50, sketches[t].quantile(0.95));
-        const double p99 = std::max(p95, sketches[t].quantile(0.99));
-        const auto quantile_ps = [](double ms) {
-          return static_cast<sim::DurationPs>(ms * 1e9 + 0.5);
-        };
-        tenant.latency_p50 = quantile_ps(p50);
-        tenant.latency_p95 = quantile_ps(p95);
-        tenant.latency_p99 = quantile_ps(p99);
-      }
+      store_percentiles(tenant, sketches[t]);
       if (makespan_s > 0) {
         tenant.throughput_jobs_per_s =
             static_cast<double>(tenant.completed) / makespan_s;
@@ -1318,12 +1272,7 @@ ServeReport run_server(const ServerConfig& config,
   }
 
   if (config.metrics != nullptr) {
-    const std::string prefix =
-        config.metrics_prefix.empty()
-            ? std::string("serve.") + policy_name(config.policy) +
-                  ".devices" + std::to_string(state.pool.size())
-            : config.metrics_prefix;
-    report.export_metrics(*config.metrics, prefix);
+    report.export_metrics(*config.metrics, state.metrics_scope);
   }
   return report;
 }

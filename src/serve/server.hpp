@@ -1,9 +1,15 @@
 // bigkserve: an SLA-aware serving layer over a cusim::DevicePool.
 //
 // run_server() plays a job workload against N simulated devices behind one
-// shared host CPU:
-//   submit -> JobQueue admission (bounded depth, reject with retry-after)
-//          -> Scheduler placement (round-robin / least-bytes / app-affinity)
+// shared host CPU. Every job takes one path:
+//   submit -> JobQueue admission (bounded depth, tenant quota, reject with
+//             retry-after); a saturated pool may spill the job to the CPU
+//          -> QosQueue tenant queue (WFQ or FIFO; an untenanted config is
+//             one implicit FIFO tenant)
+//          -> dispatcher: Scheduler placement (round-robin / least-bytes /
+//             app-affinity) over the devices the binding mode allows —
+//             late (tenants configured): idle devices only; eager (no
+//             tenants): any placeable device, so the job is placed at once
 //          -> per-device FIFO worker: cold jobs stage their mapped input
 //             through the shared host memory bus, then one core::Engine
 //             launch runs the app's kernel on that device (BigKernel
@@ -110,16 +116,19 @@ struct ServerConfig {
 
   // --- bigkload QoS plane --------------------------------------------------
   struct QosConfig {
-    /// Tenants in JobSpec::tenant index order. Empty = QoS plane off: the
-    /// server behaves byte-identically to the pre-tenant build (clients
-    /// place their job at admission; no WFQ stage, no quotas).
+    /// Tenants in JobSpec::tenant index order. With tenants the dispatcher
+    /// binds late (a job goes only to an idle device). Empty = one implicit
+    /// FIFO tenant (weight 1, no quota, no think time, not listed in the
+    /// report) that binds eagerly: any placeable device takes the job as
+    /// soon as it is admitted, and JobSpec::tenant is ignored.
     std::vector<TenantConfig> tenants;
     /// Ordering of admitted jobs across tenants while they wait for a free
     /// device (kWfq default; kFifo is the baseline for A/B runs).
     Discipline discipline = Discipline::kWfq;
-    /// Closed-loop mode: jobs sharing a JobSpec::client id form one chain —
-    /// each submits only after the previous settled plus the tenant's think
-    /// time (open loop, the default, submits at the stamped instants).
+    /// Closed-loop mode, with or without tenants: jobs sharing a
+    /// JobSpec::client id form one chain — each submits only after the
+    /// previous settled plus its tenant's think time (none for the implicit
+    /// tenant). Open loop, the default, submits at the stamped instants.
     bool closed_loop = false;
     /// Denominator for the offered-load gauge; 0 = the last submit instant.
     sim::DurationPs offered_window = 0;

@@ -1,7 +1,8 @@
 // End-to-end tests of the bigkcheck sanitizers against the real BigKernel
 // engine. The healthy pipeline must run clean under every checker; the
-// seeded protocol faults (core::Options::fault) must corrupt results
-// silently without the checkers and be precisely diagnosed with them.
+// seeded protocol bugs (fault-plane specs skip_data_ready_wait,
+// early_ring_release, stale_cache) must corrupt results silently without the
+// checkers and be precisely diagnosed with them.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/device_tables.hpp"
 #include "core/options.hpp"
 #include "cusim/runtime.hpp"
+#include "fault/fault.hpp"
 #include "sim/simulation.hpp"
 
 namespace bigk::core {
@@ -66,6 +68,14 @@ struct Fixture {
   sim::Simulation sim;
   gpusim::SystemConfig config;
   std::vector<std::uint64_t> host;
+  /// Installed on every runtime the fixture builds; seed_bug() adds a
+  /// protocol-bug spec to it.
+  fault::FaultPlane plane;
+
+  /// Turns on one always-on protocol bug for every later run.
+  void seed_bug(const char* spec) {
+    plane.add_all(fault::FaultSpec::parse(spec));
+  }
 
   Fixture() {
     config.gpu.global_memory_bytes = 8 << 20;
@@ -92,6 +102,7 @@ Options small_options() {
 void run_scale(Fixture& fixture, Options options,
                check::Sanitizer* sanitizer = nullptr) {
   cusim::Runtime runtime(fixture.sim, fixture.config);
+  runtime.set_fault_plane(&fixture.plane);
   if (sanitizer != nullptr) sanitizer->install(runtime.gpu());
   Engine engine(runtime, options);
   if (sanitizer != nullptr) engine.set_sanitizer(sanitizer);
@@ -144,18 +155,16 @@ TEST(EngineCheckTest, SkippedDataReadyWaitCorruptsResultsSilently) {
   // The seeded bug without the checker: the run "succeeds" while the compute
   // stage consumed staging buffers before the DMA landed.
   Fixture fixture;
-  Options options = small_options();
-  options.fault.skip_data_ready_wait = true;
-  run_scale(fixture, options);
+  fixture.seed_bug("skip_data_ready_wait");
+  run_scale(fixture, small_options());
   EXPECT_GT(count_scale_mismatches(fixture), 0u);
 }
 
 TEST(EngineCheckTest, SkippedDataReadyWaitIsDiagnosedAsFlagBeforeData) {
   Fixture fixture;
-  Options options = small_options();
-  options.fault.skip_data_ready_wait = true;
+  fixture.seed_bug("skip_data_ready_wait");
   check::Sanitizer sanitizer(check::CheckOptions::all_enabled());
-  run_scale(fixture, options, &sanitizer);
+  run_scale(fixture, small_options(), &sanitizer);
 
   ASSERT_GT(sanitizer.reporter().total(), 0u);
   const check::Violation* flag_violation = nullptr;
@@ -185,18 +194,17 @@ TEST(EngineCheckTest, SkippedDataReadyWaitIsDiagnosedAsFlagBeforeData) {
 
 TEST(EngineCheckTest, EngineOwnedSanitizerThrowsOnSeededFault) {
   Fixture fixture;
+  fixture.seed_bug("skip_data_ready_wait");
   Options options = small_options();
-  options.fault.skip_data_ready_wait = true;
   options.check = check::CheckOptions::all_enabled();
   EXPECT_THROW(run_scale(fixture, options), check::CheckError);
 }
 
 TEST(EngineCheckTest, EarlyRingReleaseIsDiagnosedAsSlotOverrun) {
   Fixture fixture;
-  Options options = small_options();
-  options.fault.early_ring_release = true;
+  fixture.seed_bug("early_ring_release");
   check::Sanitizer sanitizer(check::CheckOptions::all_enabled());
-  run_scale(fixture, options, &sanitizer);
+  run_scale(fixture, small_options(), &sanitizer);
 
   const check::Violation* overrun = nullptr;
   for (const check::Violation& violation : sanitizer.reporter().recorded()) {
@@ -266,6 +274,7 @@ struct CachedSumKernel {
 void run_cached_sum(Fixture& fixture, Options options,
                     check::Sanitizer& sanitizer) {
   cusim::Runtime runtime(fixture.sim, fixture.config);
+  runtime.set_fault_plane(&fixture.plane);
   sanitizer.install(runtime.gpu());
   cache::ChunkCache cache(runtime.gpu().memory(),
                           cache::ChunkCache::Config{2 << 20});
@@ -300,10 +309,9 @@ TEST(EngineCheckTest, CachedLaunchRunsCleanUnderAllCheckers) {
 
 TEST(EngineCheckTest, StaleCacheFaultIsDiagnosedAsStaleCacheRead) {
   Fixture fixture;
-  Options options = small_options();
-  options.fault.stale_cache = true;
+  fixture.seed_bug("stale_cache");
   check::Sanitizer sanitizer(check::CheckOptions::all_enabled());
-  run_cached_sum(fixture, options, sanitizer);
+  run_cached_sum(fixture, small_options(), sanitizer);
 
   const check::Violation* stale = nullptr;
   for (const check::Violation& violation : sanitizer.reporter().recorded()) {

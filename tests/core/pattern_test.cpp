@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <ostream>
 #include <vector>
 
 namespace bigk::core {
@@ -201,6 +203,16 @@ struct PatternCase {
   std::uint64_t base;
   std::vector<std::int64_t> strides;
 };
+
+// Without a printer GoogleTest names each case by dumping the struct's raw
+// bytes, heap pointer included, so the discovered test names changed on
+// every run.
+void PrintTo(const PatternCase& param, std::ostream* os) {
+  *os << "base=" << param.base << " strides=";
+  for (std::size_t i = 0; i < param.strides.size(); ++i) {
+    *os << (i == 0 ? "" : ",") << param.strides[i];
+  }
+}
 
 class PatternRoundTrip : public ::testing::TestWithParam<PatternCase> {};
 

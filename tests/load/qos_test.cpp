@@ -279,6 +279,31 @@ TEST(QosServeTest, ThousandsOfClosedLoopClients) {
   EXPECT_GT(report.completed, 1'000u);
 }
 
+TEST(QosServeTest, ClosedLoopChainsWithoutTenants) {
+  // closed_loop does not need tenants: an untenanted config runs its chains
+  // under the implicit tenant (no think time), so each link of a client's
+  // chain submits only once the previous link finished.
+  const auto suite = make_toy_suite(2, kRecords);
+  ServerConfig config = base_config(2);
+  config.qos.closed_loop = true;
+  std::vector<JobSpec> specs;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    JobSpec spec;
+    spec.id = i;
+    spec.app = kApps[i % kApps.size()];
+    spec.client = 1;
+    specs.push_back(spec);
+  }
+  const ServeReport report = run_server(config, specs, suite);
+  ASSERT_EQ(report.completed, specs.size());
+  EXPECT_TRUE(report.tenants.empty());
+  for (std::size_t k = 1; k < report.jobs.size(); ++k) {
+    EXPECT_GE(report.jobs[k].spec.submit_time,
+              report.jobs[k - 1].finish_time)
+        << "link " << k;
+  }
+}
+
 TEST(QosServeTest, RejectsOutOfRangeTenantIndex) {
   const auto suite = make_toy_suite(1, kRecords);
   ServerConfig config = base_config(1);
