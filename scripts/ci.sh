@@ -51,7 +51,10 @@ for preset in "${presets[@]}"; do
         --scale 0.001
       ;;
     asan-ubsan)
-      run_preset asan-ubsan -DBIGK_SANITIZE=address,undefined
+      # -fno-sanitize-recover makes every UBSan report abort its test, so
+      # undefined behaviour fails ctest instead of only printing.
+      run_preset asan-ubsan -DBIGK_SANITIZE=address,undefined \
+        -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
       # bigkfault drives the error paths the happy-path suites never reach
       # (chunk retry, degraded rings, quarantine/redispatch); run the fault
       # suites explicitly so a leak or UB on a recovery path fails the

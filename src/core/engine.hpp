@@ -311,6 +311,12 @@ class Engine {
   /// out so blocked drivers observe aborted_ and exit.
   void abort_launch(std::exception_ptr error);
 
+  /// Gpu::set_flag_at on a block-state flag, noting when it fires.
+  void raise_flag_at(sim::Flag& flag, std::uint64_t value, sim::TimePs when) {
+    flags_due_ = std::max(flags_due_, when);
+    runtime_.gpu().set_flag_at(flag, value, when);
+  }
+
   /// Whether a seeded protocol bug is on: an always-on spec of `kind` on the
   /// runtime's fault plane (test-only; see fault::FaultKind).
   bool seeded_bug(fault::FaultKind kind) const {
@@ -377,6 +383,9 @@ class Engine {
   /// exits, and launch() rethrows abort_error_ after draining.
   bool aborted_ = false;
   std::exception_ptr abort_error_;
+  /// Latest time a flag raise posted through raise_flag_at() fires; an
+  /// aborted launch waits for it before freeing the flags' block states.
+  sim::TimePs flags_due_ = 0;
   /// Any block shrank its ring this launch (pinned_alloc_fail absorbed).
   /// Pipecheck is detached for the launch: its slot geometry is fixed at
   /// begin_launch and cannot describe a per-block depth.
@@ -518,6 +527,12 @@ sim::Task<> Engine::launch(const Kernel& kernel, std::uint64_t num_records,
     for (auto& block : blocks_) {
       co_await block->dma.synchronize();
     }
+    // Posted flag raises still point into the block states as well; the
+    // event queue breaks ties by insertion order, so the last one fires
+    // before this wait ends.
+    if (flags_due_ > sim().now()) {
+      co_await sim().delay(flags_due_ - sim().now());
+    }
   }
   release_buffers();
 
@@ -591,8 +606,7 @@ sim::Task<> Engine::addr_gen_driver(gpusim::BlockCtx& ctx, BlockState& block,
     record_stage(obs::Stage::kAddrGen, block.index, chunk, sim().now() - busy,
                  sim().now());
     const sim::TimePs landed = runtime_.gpu().post_d2h(wire_bytes);
-    runtime_.gpu().set_flag_at(block.addr_ready, chunk + 1,
-                               std::max(landed, sim().now()));
+    raise_flag_at(block.addr_ready, chunk + 1, std::max(landed, sim().now()));
   }
 }
 
@@ -649,8 +663,7 @@ sim::Task<> Engine::compute_driver(gpusim::BlockCtx& ctx, BlockState& block,
       }
       metrics_.write_bytes_sent += wb_bytes;
       const sim::TimePs landed = runtime_.gpu().post_d2h(wb_bytes);
-      runtime_.gpu().set_flag_at(block.wb_landed, chunk + 1,
-                                 std::max(landed, sim().now()));
+      raise_flag_at(block.wb_landed, chunk + 1, std::max(landed, sim().now()));
       if (seeded_bug(fault::FaultKind::kEarlyRingRelease)) {
         // Seeded bug: hand the ring slot back while the write-back scatter
         // is still in flight — assembly may overwrite live staged writes.

@@ -2,6 +2,22 @@
 
 namespace bigk::gpusim {
 
+namespace detail {
+
+void throw_null_device_pointer() {
+  throw std::logic_error("DevicePtr arithmetic on a null device pointer");
+}
+
+void throw_device_address_overflow(std::uint64_t base, std::uint64_t elements,
+                                   std::uint64_t element_size) {
+  throw std::overflow_error(
+      "DevicePtr arithmetic overflows the device address space: base " +
+      std::to_string(base) + " + " + std::to_string(elements) +
+      " elements of " + std::to_string(element_size) + " bytes");
+}
+
+}  // namespace detail
+
 namespace {
 constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;

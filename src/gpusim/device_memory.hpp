@@ -43,6 +43,15 @@ class InvalidFree : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+namespace detail {
+// The throw paths of DevicePtr::element_address, kept out of line so the
+// per-access check inlines into every traced lane load and store.
+[[noreturn]] void throw_null_device_pointer();
+[[noreturn]] void throw_device_address_overflow(std::uint64_t base,
+                                                std::uint64_t elements,
+                                                std::uint64_t element_size);
+}  // namespace detail
+
 template <class T>
 struct DevicePtr {
   static constexpr std::uint64_t kNull = ~std::uint64_t{0};
@@ -61,14 +70,11 @@ struct DevicePtr {
   /// Byte address of element `i` (the "device address" the paper's address
   /// buffers carry).
   std::uint64_t element_address(std::uint64_t i) const {
-    if (is_null()) {
-      throw std::logic_error("DevicePtr arithmetic on a null device pointer");
+    if (is_null()) [[unlikely]] {
+      detail::throw_null_device_pointer();
     }
-    if (i != 0 && i > (kNull - 1 - byte_offset) / sizeof(T)) {
-      throw std::overflow_error(
-          "DevicePtr arithmetic overflows the device address space: base " +
-          std::to_string(byte_offset) + " + " + std::to_string(i) +
-          " elements of " + std::to_string(sizeof(T)) + " bytes");
+    if (i != 0 && i > (kNull - 1 - byte_offset) / sizeof(T)) [[unlikely]] {
+      detail::throw_device_address_overflow(byte_offset, i, sizeof(T));
     }
     return byte_offset + i * sizeof(T);
   }
@@ -152,7 +158,20 @@ class DeviceMemory {
 
   template <class T>
   T read(DevicePtr<T> ptr, std::uint64_t index = 0) const {
-    const std::uint64_t addr = ptr.element_address(index);
+    return read_at<T>(ptr.element_address(index));
+  }
+
+  template <class T>
+  void write(DevicePtr<T> ptr, std::uint64_t index, const T& value) {
+    write_at(ptr.element_address(index), value);
+  }
+
+  /// Typed access at a byte address already produced by
+  /// DevicePtr::element_address (which did the null and overflow checks);
+  /// the bounds check still applies. Lets a traced lane access compute its
+  /// address once.
+  template <class T>
+  T read_at(std::uint64_t addr) const {
     if (observer_ != nullptr) {
       observer_->on_access(MemAccess::kKernelRead, addr, sizeof(T),
                            sizeof(T));
@@ -163,8 +182,7 @@ class DeviceMemory {
   }
 
   template <class T>
-  void write(DevicePtr<T> ptr, std::uint64_t index, const T& value) {
-    const std::uint64_t addr = ptr.element_address(index);
+  void write_at(std::uint64_t addr, const T& value) {
     if (observer_ != nullptr) {
       observer_->on_access(MemAccess::kKernelWrite, addr, sizeof(T),
                            sizeof(T));

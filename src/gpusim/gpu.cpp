@@ -15,7 +15,8 @@ sim::Task<sim::DurationPs> BlockCtx::run_threads(std::uint32_t first,
   const sim::TimePs entry = gpu_.sim_.now();
   sim::DurationPs total = 0;
   std::uint64_t atomic_ops = 0;
-  WarpTracer tracer(warp_size);
+  // No co_await until the loop ends: the GPU's one tracer is ours till then.
+  WarpTracer& tracer = gpu_.warp_tracer_;
   for (std::uint32_t warp_first = first; warp_first < first + count;
        warp_first += warp_size) {
     tracer.reset();
@@ -93,7 +94,8 @@ Gpu::Gpu(sim::Simulation& sim, const SystemConfig& config)
       memory_(config.gpu.global_memory_bytes),
       atomic_unit_(sim, "atomic-units"),
       h2d_link_(sim, "pcie-h2d"),
-      d2h_link_(sim, "pcie-d2h") {
+      d2h_link_(sim, "pcie-d2h"),
+      warp_tracer_(config.gpu.warp_size) {
   sm_servers_.reserve(config_.gpu.num_sms);
   for (std::uint32_t i = 0; i < config_.gpu.num_sms; ++i) {
     sm_servers_.push_back(

@@ -77,27 +77,29 @@ class LaneCtx {
 
   template <class T>
   T load(DevicePtr<T> ptr, std::uint64_t index = 0) {
-    tracer_.record_access(ptr.element_address(index), sizeof(T));
-    return memory_.read(ptr, index);
+    const std::uint64_t addr = ptr.element_address(index);
+    tracer_.record_access(addr, sizeof(T));
+    return memory_.read_at<T>(addr);
   }
 
   template <class T>
   void store(DevicePtr<T> ptr, std::uint64_t index, const T& value) {
-    tracer_.record_access(ptr.element_address(index), sizeof(T),
-                          WarpTracer::kFlagWrite);
-    memory_.write(ptr, index, value);
+    const std::uint64_t addr = ptr.element_address(index);
+    tracer_.record_access(addr, sizeof(T), WarpTracer::kFlagWrite);
+    memory_.write_at(addr, value);
   }
 
   /// Atomic read-modify-write on global memory (adds the configured extra
   /// serialization cycles on top of the traced access).
   template <class T>
   T atomic_add(DevicePtr<T> ptr, std::uint64_t index, T delta) {
-    tracer_.record_access(ptr.element_address(index), sizeof(T),
+    const std::uint64_t addr = ptr.element_address(index);
+    tracer_.record_access(addr, sizeof(T),
                           WarpTracer::kFlagWrite | WarpTracer::kFlagAtomic);
     tracer_.record_alu(atomic_extra_cycles_);
     tracer_.record_atomic();
-    T old = memory_.read(ptr, index);
-    memory_.write(ptr, index, static_cast<T>(old + delta));
+    T old = memory_.read_at<T>(addr);
+    memory_.write_at(addr, static_cast<T>(old + delta));
     return old;
   }
 
@@ -272,6 +274,9 @@ class Gpu {
   sim::FifoServer h2d_link_;
   sim::FifoServer d2h_link_;
   GpuStats stats_;
+  /// Shared by every run_threads call: its warp loop never suspends, so no
+  /// two warps are traced at once.
+  WarpTracer warp_tracer_;
   WarpAccessObserver* access_observer_ = nullptr;
   fault::FaultPlane* fault_plane_ = nullptr;
   std::uint32_t fault_device_ = 0;

@@ -41,6 +41,18 @@ struct WarpCost {
 };
 
 /// Collects per-lane traces for one warp and merges them into a WarpCost.
+///
+/// One tracer is meant to be reused for every warp a GPU executes (Gpu owns
+/// one): trace a warp, finish() it, reset(), trace the next. reset() keeps
+/// the capacity of the lane buffers and of the segment table, so a warp of a
+/// shape seen before allocates nothing.
+///
+/// finish() dedups transaction segments exactly without sorting: a
+/// linear-probing hash table maps each segment to the stamp of the last lock
+/// step that touched it, so every lane segment costs one expected-O(1)
+/// lookup. Stamps grow monotonically across finish() calls (a generation
+/// scheme), so entries from earlier warps read as empty and the table is
+/// never cleared between warps.
 class WarpTracer {
  public:
   /// Access-kind bits carried by each traced access (the cost model ignores
@@ -71,9 +83,16 @@ class WarpTracer {
   void record_atomic() { ++atomic_ops_; }
 
   /// Merges the lane traces into the warp's cost under `config`'s
-  /// transaction size. The tracer can be reused after calling reset().
-  WarpCost finish(const GpuConfig& config) const;
+  /// transaction size. Not const: it stamps the reused segment table. Call
+  /// reset() before tracing the next warp.
+  ///
+  /// Per lane segment of step s: a segment never seen in this warp adds one
+  /// mem_transactions and one issue_transactions; one last seen in an
+  /// earlier step adds one issue_transactions; one already seen in step s
+  /// adds nothing.
+  WarpCost finish(const GpuConfig& config);
 
+  /// Clears the lane traces and atomic count, keeping all buffer capacity.
   void reset();
 
   /// Visits every recorded access of every lane in program order:
@@ -99,9 +118,44 @@ class WarpTracer {
     double alu_cycles = 0.0;
   };
 
+  /// Open-addressing map from transaction segment to the stamp of the last
+  /// step that touched it. A slot whose stamp predates the current warp's
+  /// first stamp is free, which is what clears the table between warps.
+  class SegmentTable {
+   public:
+    enum class Seen { kNever, kEarlierStep, kThisStep };
+
+    /// Starts a warp of `steps` lock steps; stamp(step) is then valid for
+    /// step < steps.
+    void begin_warp(std::uint64_t steps);
+    std::uint64_t stamp(std::uint64_t step) const { return warp_base_ + step; }
+    /// Records that `segment` was touched in the step stamped `stamp` and
+    /// says when it was last touched before.
+    Seen touch(std::uint64_t segment, std::uint64_t stamp);
+
+   private:
+    struct Slot {
+      std::uint64_t segment = 0;
+      std::uint64_t stamp = 0;  // 0: never used
+    };
+    std::size_t home(std::uint64_t segment) const {
+      return static_cast<std::size_t>(
+          (segment * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    void grow();
+
+    std::vector<Slot> slots_;
+    unsigned shift_ = 64;
+    std::uint64_t warp_base_ = 1;  // first stamp of the current warp
+    std::uint64_t next_base_ = 1;  // first stamp of the next warp
+    std::size_t live_ = 0;         // segments stamped by the current warp
+  };
+
   std::vector<Lane> lanes_;
   Lane* current_ = nullptr;
   std::uint64_t atomic_ops_ = 0;
+  std::vector<const Lane*> active_;  // finish(): lanes with steps left
+  SegmentTable segments_;
 };
 
 /// Converts a warp cost into occupancy time on an SM's timing server: the SM

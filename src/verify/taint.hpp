@@ -120,7 +120,9 @@ class TaintMonitor {
     return z ^ (z >> 31);
   }
 
-  static thread_local TaintMonitor* active_;
+  // Defined here and constant-initialised, so every translation unit
+  // accesses it directly rather than through a TLS init wrapper.
+  static inline thread_local constinit TaintMonitor* active_ = nullptr;
 
   std::vector<Site> sites_;
   std::vector<BranchEvent> branches_;

@@ -219,6 +219,90 @@ TEST(GpuTest, AtomicAddIsFunctionallyCorrectAcrossThreads) {
   EXPECT_EQ(gpu.memory().read(counter, 0), 4u * 128u);
 }
 
+// The GPU traces every warp with one reused WarpTracer; a second launch of
+// the same kernel must neither inherit state from the first (costs) nor see
+// a stale or reordered access stream (observer).
+class RecordingObserver : public WarpAccessObserver {
+ public:
+  struct Record {
+    std::uint32_t block, warp, lane;
+    std::uint64_t addr;
+    std::uint32_t size;
+    std::uint8_t flags;
+    friend bool operator==(const Record&, const Record&) = default;
+  };
+  void on_warp_access(std::uint32_t block, std::uint32_t warp,
+                      std::uint32_t lane, std::uint64_t addr,
+                      std::uint32_t size, std::uint8_t flags) override {
+    records.push_back(Record{block, warp, lane, addr, size, flags});
+  }
+  std::vector<Record> records;
+};
+
+TEST(GpuTest, RelaunchOnOneGpuChargesAndObservesIdentically) {
+  constexpr std::uint64_t kWords = 4096;
+  constexpr std::uint32_t kThreads = 64;  // two warps per block
+  sim::Simulation sim;
+  Gpu gpu(sim, small_config());
+  auto data = gpu.memory().allocate<std::uint32_t>(kWords);
+  for (std::uint64_t i = 0; i < kWords; ++i) gpu.memory().write(data, i, 0u);
+  RecordingObserver observer;
+  gpu.set_access_observer(&observer);
+  KernelLaunch launch;
+  launch.num_blocks = 4;
+  launch.threads_per_block = kThreads;
+  // Diverged, scattered loads, then one coalesced store per lane.
+  auto word = [](std::uint32_t gtid, std::uint32_t k) {
+    return (std::uint64_t{gtid} * 37 + std::uint64_t{k} * 1013) % kWords;
+  };
+  const BlockCtx::LaneFn kernel = [&](LaneCtx& lane, std::uint32_t tid) {
+    std::uint32_t sum = 0;
+    for (std::uint32_t k = 0; k < tid % 5; ++k) {
+      sum += lane.load(data, word(lane.global_thread(), k));
+    }
+    lane.store(data, lane.global_thread(), sum);
+  };
+
+  auto launch_once = [&] {
+    observer.records.clear();
+    const sim::DurationPs before = gpu.sm_busy_total();
+    sim.run_until_complete(gpu.run_simple_kernel(launch, kernel));
+    return gpu.sm_busy_total() - before;
+  };
+  const sim::DurationPs first_busy = launch_once();
+  const std::vector<RecordingObserver::Record> first = observer.records;
+  const sim::DurationPs second_busy = launch_once();
+  EXPECT_GT(first_busy, 0);
+  EXPECT_EQ(first_busy, second_busy);
+  EXPECT_EQ(first, observer.records);
+
+  // Within each (block, warp) the stream is lane-major and in program order.
+  const std::uint64_t base = data.byte_offset;
+  for (std::uint32_t block = 0; block < launch.num_blocks; ++block) {
+    for (std::uint32_t warp = 0; warp < kThreads / 32; ++warp) {
+      std::vector<RecordingObserver::Record> expected;
+      for (std::uint32_t lane = 0; lane < 32; ++lane) {
+        const std::uint32_t tid = warp * 32 + lane;
+        const std::uint32_t gtid = block * kThreads + tid;
+        for (std::uint32_t k = 0; k < tid % 5; ++k) {
+          expected.push_back({block, warp, lane, base + word(gtid, k) * 4, 4,
+                              0});
+        }
+        expected.push_back({block, warp, lane, base + std::uint64_t{gtid} * 4,
+                            4, WarpTracer::kFlagWrite});
+      }
+      std::vector<RecordingObserver::Record> seen;
+      for (const auto& record : observer.records) {
+        if (record.block == block && record.warp == warp) {
+          seen.push_back(record);
+        }
+      }
+      EXPECT_EQ(seen, expected) << "block " << block << " warp " << warp;
+    }
+  }
+  gpu.set_access_observer(nullptr);
+}
+
 TEST(GpuTest, ZeroBlockLaunchIsANoop) {
   sim::Simulation sim;
   Gpu gpu(sim, small_config());

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "gpusim/config.hpp"
 
 namespace bigk::gpusim {
@@ -221,6 +226,225 @@ TEST(WarpTraceTest, IssueCostRaisesSmRequestTime) {
   WarpCost scattered{100.0, 10, 1280, 320, 0};
   EXPECT_LT(sm_request_cost(coalesced, config),
             sm_request_cost(scattered, config));
+}
+
+// --- Differential test against the sort-based coalescing model -----------
+//
+// ReferenceTracer keeps the original WarpTracer::finish, which sorts each
+// step's segments and then the whole warp's, as an oracle. The hashed
+// tracer must reproduce every WarpCost field of it bit for bit.
+class ReferenceTracer {
+ public:
+  explicit ReferenceTracer(std::uint32_t warp_size) : lanes_(warp_size) {}
+  void begin_lane(std::uint32_t lane) { current_ = &lanes_.at(lane); }
+  void record_access(std::uint64_t addr, std::uint32_t size) {
+    current_->accesses.push_back(Access{addr, size});
+    current_->alu_cycles += 1.0;
+  }
+  void record_alu(double cycles) { current_->alu_cycles += cycles; }
+  void record_atomic() { ++atomic_ops_; }
+  void reset() {
+    for (Lane& lane : lanes_) {
+      lane.accesses.clear();
+      lane.alu_cycles = 0.0;
+    }
+    current_ = nullptr;
+    atomic_ops_ = 0;
+  }
+
+  WarpCost finish(const GpuConfig& config) const {
+    WarpCost cost;
+    for (const Lane& lane : lanes_) {
+      cost.alu_cycles = std::max(cost.alu_cycles, lane.alu_cycles);
+    }
+    const std::uint64_t txn = config.mem_transaction_bytes;
+    std::size_t max_steps = 0;
+    for (const Lane& lane : lanes_) {
+      max_steps = std::max(max_steps, lane.accesses.size());
+    }
+    std::vector<std::uint64_t> segments;
+    std::vector<std::uint64_t> step_segments;
+    for (std::size_t step = 0; step < max_steps; ++step) {
+      step_segments.clear();
+      for (const Lane& lane : lanes_) {
+        if (step >= lane.accesses.size()) continue;
+        const Access& access = lane.accesses[step];
+        const std::uint64_t first = access.addr / txn;
+        const std::uint64_t last =
+            (access.addr + std::max<std::uint32_t>(access.size, 1) - 1) / txn;
+        for (std::uint64_t seg = first; seg <= last; ++seg) {
+          step_segments.push_back(seg);
+        }
+      }
+      std::sort(step_segments.begin(), step_segments.end());
+      step_segments.erase(
+          std::unique(step_segments.begin(), step_segments.end()),
+          step_segments.end());
+      cost.issue_transactions += step_segments.size();
+      segments.insert(segments.end(), step_segments.begin(),
+                      step_segments.end());
+    }
+    std::sort(segments.begin(), segments.end());
+    segments.erase(std::unique(segments.begin(), segments.end()),
+                   segments.end());
+    cost.mem_transactions = segments.size();
+    cost.mem_bytes = cost.mem_transactions * txn;
+    cost.atomic_ops = atomic_ops_;
+    return cost;
+  }
+
+ private:
+  struct Access {
+    std::uint64_t addr;
+    std::uint32_t size;
+  };
+  struct Lane {
+    std::vector<Access> accesses;
+    double alu_cycles = 0.0;
+  };
+  std::vector<Lane> lanes_;
+  Lane* current_ = nullptr;
+  std::uint64_t atomic_ops_ = 0;
+};
+
+/// Drives one WarpTracer and one ReferenceTracer with the same random warp.
+class RandomWarp {
+ public:
+  RandomWarp(WarpTracer& tracer, ReferenceTracer& reference,
+             std::mt19937_64& rng)
+      : tracer_(tracer), reference_(reference), rng_(rng) {}
+
+  void begin_lane(std::uint32_t lane) {
+    tracer_.begin_lane(lane);
+    reference_.begin_lane(lane);
+  }
+  void access(std::uint64_t addr, std::uint32_t size) {
+    tracer_.record_access(addr, size);
+    reference_.record_access(addr, size);
+  }
+  void alu(double cycles) {
+    tracer_.record_alu(cycles);
+    reference_.record_alu(cycles);
+  }
+  void atomic() {
+    tracer_.record_atomic();
+    reference_.record_atomic();
+  }
+  std::uint64_t below(std::uint64_t bound) {
+    return std::uniform_int_distribution<std::uint64_t>(0, bound - 1)(rng_);
+  }
+
+  /// One lane's trace: `steps` accesses drawn from a mix of coalesced,
+  /// strided, scattered, segment-spanning and zero-size patterns over a
+  /// `footprint`-byte region at `base`.
+  void lane_trace(std::uint32_t lane, std::uint64_t steps,
+                  std::uint64_t base, std::uint64_t footprint) {
+    for (std::uint64_t step = 0; step < steps; ++step) {
+      std::uint64_t addr = 0;
+      std::uint32_t size = 4;
+      switch (below(6)) {
+        case 0:  // coalesced: lane-contiguous words of one step
+          addr = base + (step * 32 + lane) * 4;
+          break;
+        case 1:  // record-strided: each lane scans its own record
+          addr = base + std::uint64_t{lane} * 512 + step;
+          size = 1;
+          break;
+        case 2:  // scattered anywhere in the footprint
+          addr = base + below(footprint);
+          size = 8;
+          break;
+        case 3:  // spans one or more segment boundaries
+          addr = base + below(footprint / 128 + 1) * 128 + 120;
+          size = static_cast<std::uint32_t>(9 + below(400));
+          break;
+        case 4:  // zero-size access: still touches its segment
+          addr = base + below(footprint);
+          size = 0;
+          break;
+        default:  // lanes in reverse order: not lane-monotone
+          addr = base + (step * 32 + (31 - lane % 32)) * 8;
+          size = 8;
+          break;
+      }
+      access(addr, size);
+      if (below(4) == 0) alu(static_cast<double>(below(1000)) / 8.0);
+    }
+  }
+
+ private:
+  WarpTracer& tracer_;
+  ReferenceTracer& reference_;
+  std::mt19937_64& rng_;
+};
+
+void expect_same_cost(const WarpCost& got, const WarpCost& want,
+                      std::uint64_t round) {
+  EXPECT_EQ(got.alu_cycles, want.alu_cycles) << "round " << round;
+  EXPECT_EQ(got.mem_transactions, want.mem_transactions) << "round " << round;
+  EXPECT_EQ(got.mem_bytes, want.mem_bytes) << "round " << round;
+  EXPECT_EQ(got.issue_transactions, want.issue_transactions)
+      << "round " << round;
+  EXPECT_EQ(got.atomic_ops, want.atomic_ops) << "round " << round;
+}
+
+TEST(WarpTraceDifferential, MatchesSortingOracleOnRandomWarps) {
+  constexpr std::uint32_t kWarp = 32;
+  std::mt19937_64 rng(20140519);
+  WarpTracer tracer(kWarp);
+  ReferenceTracer reference(kWarp);
+  RandomWarp warp(tracer, reference, rng);
+  GpuConfig config = test_config();
+  const std::uint32_t txn_sizes[] = {128, 32, 64, 128};
+  // Hundreds of finish/reset cycles on one tracer: stale slots left by
+  // earlier warps must read as free.
+  for (std::uint64_t round = 0; round < 600; ++round) {
+    tracer.reset();
+    reference.reset();
+    config.mem_transaction_bytes = txn_sizes[round % 4];
+    // Every tenth warp has a footprint large enough to grow the table.
+    const bool big = round % 10 == 9;
+    const std::uint64_t footprint =
+        big ? (64u << 20) : 4096 + warp.below(1 << 16);
+    const std::uint64_t base = warp.below(1 << 20) * 8;
+    const std::uint64_t max_steps = big ? 400 : 1 + warp.below(48);
+    const auto lanes = static_cast<std::uint32_t>(1 + warp.below(kWarp));
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      warp.begin_lane(lane);
+      // Diverged lane lengths, some lanes empty.
+      warp.lane_trace(lane, warp.below(max_steps + 1), base, footprint);
+      if (warp.below(8) == 0) warp.atomic();
+    }
+    // Re-entered lanes append to their earlier trace.
+    for (std::uint64_t again = warp.below(3); again > 0; --again) {
+      const auto lane = static_cast<std::uint32_t>(warp.below(lanes));
+      warp.begin_lane(lane);
+      warp.lane_trace(lane, 1 + warp.below(max_steps), base, footprint);
+    }
+    expect_same_cost(tracer.finish(config), reference.finish(config), round);
+    if (HasFailure()) break;
+  }
+}
+
+TEST(WarpTraceDifferential, RepeatedSegmentsWithinAStepAreNotReissued) {
+  // Lanes alternate between two segments within each step, so per-step
+  // repeats are never adjacent: only the exact dedup gets 2 per step.
+  const GpuConfig config = test_config();
+  WarpTracer tracer(32);
+  ReferenceTracer reference(32);
+  for (std::uint32_t lane = 0; lane < 32; ++lane) {
+    tracer.begin_lane(lane);
+    reference.begin_lane(lane);
+    for (std::uint64_t step = 0; step < 3; ++step) {
+      const std::uint64_t addr = step * 4096 + (lane % 2) * 128;
+      tracer.record_access(addr, 4);
+      reference.record_access(addr, 4);
+    }
+  }
+  const WarpCost cost = tracer.finish(config);
+  EXPECT_EQ(cost.issue_transactions, 6u);
+  EXPECT_EQ(cost.mem_transactions, 6u);
+  expect_same_cost(cost, reference.finish(config), 0);
 }
 
 }  // namespace
