@@ -65,13 +65,12 @@ void print_tables(const Context& ctx, const ResultStore& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bigk::bench::Harness harness("ablation_design", &argc, argv);
+  bigk::bench::Harness harness("ablation_design", argc, argv);
   Context& ctx = harness.ctx;
-  ResultStore& results = harness.results;
   for (const auto& app : ctx.suite) {
     for (std::uint32_t depth : {2u, 3u, 4u, 6u}) {
-      bigk::bench::register_sim_benchmark(
-          app.name + "/depth" + std::to_string(depth), &results,
+      harness.add(
+          app.name + "/depth" + std::to_string(depth),
           [&ctx, &app, depth] {
             bigk::schemes::SchemeConfig sc = ctx.scheme_config;
             sc.bigkernel.buffer_depth = depth;
@@ -79,8 +78,8 @@ int main(int argc, char** argv) {
           });
     }
     for (std::uint32_t blocks : {4u, 8u, 16u, 32u}) {
-      bigk::bench::register_sim_benchmark(
-          app.name + "/blocks" + std::to_string(blocks), &results,
+      harness.add(
+          app.name + "/blocks" + std::to_string(blocks),
           [&ctx, &app, blocks] {
             bigk::schemes::SchemeConfig sc = ctx.scheme_config;
             sc.bigkernel.num_blocks = blocks;
@@ -88,8 +87,8 @@ int main(int argc, char** argv) {
           });
     }
     for (bool locality : {true, false}) {
-      bigk::bench::register_sim_benchmark(
-          app.name + (locality ? "/loc-on" : "/loc-off"), &results,
+      harness.add(
+          app.name + (locality ? "/loc-on" : "/loc-off"),
           [&ctx, &app, locality] {
             bigk::schemes::SchemeConfig sc = ctx.scheme_config;
             sc.bigkernel.locality_assembly = locality;
@@ -97,8 +96,7 @@ int main(int argc, char** argv) {
           });
     }
   }
-  const int rc = harness.run(argc, argv);
-  if (rc != 0) return rc;
-  print_tables(ctx, results);
+  if (!harness.run() || !harness.write_outputs()) return 1;
+  print_tables(ctx, harness.results);
   return 0;
 }

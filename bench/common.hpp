@@ -1,22 +1,22 @@
 // Shared benchmark harness.
 //
 // Every bench binary regenerates one table or figure of the paper's
-// evaluation (§V-VI). Measurements are *simulated* time from the
-// deterministic discrete-event model, reported through google-benchmark's
-// manual-time mode; after the benchmark pass each binary prints the
-// corresponding paper-style table.
+// evaluation (§V-VI). A binary adds its cells — named, deterministic
+// simulated runs — to a Harness, which runs them in order, prints one line
+// per cell (simulated ms, PCIe MB each way, host ms) and keeps each result
+// under the cell's name; the binary then prints the paper-style table.
 //
 // Environment knobs:
 //   BIGK_SCALE   capacity scale vs. the paper's testbed (default 0.005,
 //                i.e. 1/200: a 6 GB input becomes ~30 MB against a ~10 MB
 //                GPU). Any value keeps every ratio intact; smaller is
-//                faster.
+//                faster. A malformed or non-positive value is an error.
 //
-// Command-line knobs (stripped before google-benchmark sees argv):
+// Command-line knobs:
 //   --metrics-json=<file>  write every RunMetrics plus the telemetry
 //                          counters as one JSON document after the run
 //   --trace-out=<file>     record a unified Chrome-tracing/Perfetto
-//                          timeline across all benchmark runs
+//                          timeline across all cells
 //   --check                run every scheme under the bigkcheck sanitizers
 //                          (memcheck + racecheck + pipecheck); any violation
 //                          aborts the run with a diagnostic. Equivalent to
@@ -66,19 +66,24 @@
 //                          Malformed or out-of-range values are rejected
 //                          with an error, never silently clamped.
 // Each flag accepts both "--flag=value" and "--flag value". `--help` prints
-// this list before google-benchmark's own help.
+// this list; any other argument, a malformed value or a failing cell exits 1
+// with "error: ..." naming the flag or cell.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -96,18 +101,29 @@
 
 namespace bigk::bench {
 
+/// Parses a whole string as a double: nullopt on empty input, trailing
+/// garbage or overflow.
+inline std::optional<double> parse_double(const std::string& value) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || errno == ERANGE) return std::nullopt;
+  return parsed;
+}
+
 struct Context {
   apps::ScaledSystem scaled;
   gpusim::SystemConfig config;
   schemes::SchemeConfig scheme_config;
   std::vector<apps::BenchApp> suite;
 
+  /// Throws std::invalid_argument on a malformed or non-positive BIGK_SCALE.
   static Context from_env() {
     Context ctx;
     ctx.scaled.scale = 0.005;
     if (const char* env = std::getenv("BIGK_SCALE")) {
-      ctx.scaled.scale = std::atof(env);
-      if (ctx.scaled.scale <= 0.0) ctx.scaled.scale = 0.005;
+      ctx.scaled.scale = parse_scale(env);
     }
     ctx.config = ctx.scaled.config();
     ctx.scheme_config.gpu_blocks = 32;
@@ -117,44 +133,21 @@ struct Context {
     ctx.suite = apps::benchmark_apps(ctx.scaled);
     return ctx;
   }
+
+  /// Parses a BIGK_SCALE value: a finite number above zero.
+  static double parse_scale(const std::string& value) {
+    const std::optional<double> parsed = parse_double(value);
+    if (!parsed || !(*parsed > 0.0) || !std::isfinite(*parsed)) {
+      throw std::invalid_argument("BIGK_SCALE needs a positive number, got \"" +
+                                  value + "\"");
+    }
+    return *parsed;
+  }
 };
 
-/// Results store keyed by "app/variant"; populated by benchmark bodies and
-/// consumed by the table printer after RunSpecifiedBenchmarks().
+/// Results keyed by cell name; filled by Harness::run and read by the table
+/// printers afterwards.
 using ResultStore = std::map<std::string, schemes::RunMetrics>;
-
-/// Registers a google-benchmark entry that performs `run` once, reports its
-/// simulated completion time as manual time, and stores the metrics.
-inline void register_sim_benchmark(
-    const std::string& name, ResultStore* store,
-    std::function<schemes::RunMetrics()> run) {
-  benchmark::RegisterBenchmark(
-      name.c_str(),
-      [store, name, run](benchmark::State& state) {
-        schemes::RunMetrics metrics;
-        for (auto _ : state) {
-          metrics = run();
-          state.SetIterationTime(sim::to_seconds(metrics.total_time));
-        }
-        state.counters["sim_ms"] = sim::to_milliseconds(metrics.total_time);
-        state.counters["h2d_MB"] =
-            static_cast<double>(metrics.h2d_bytes) / 1e6;
-        state.counters["d2h_MB"] =
-            static_cast<double>(metrics.d2h_bytes) / 1e6;
-        (*store)[name] = metrics;
-      })
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
-inline int run_benchmarks(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
 
 inline void print_header(const char* title, const Context& ctx) {
   std::printf("\n================================================================\n");
@@ -164,15 +157,14 @@ inline void print_header(const char* title, const Context& ctx) {
   std::printf("================================================================\n");
 }
 
-/// Per-binary harness: owns the Context, the result store, and the telemetry
-/// sinks, and handles the --metrics-json=/--trace-out= flags (which must be
-/// stripped from argv before benchmark::Initialize rejects them).
+/// Per-binary harness: parses the flags, owns the Context, the cells, the
+/// result store and the telemetry sinks, and writes the requested output
+/// files.
 ///
 ///   int main(int argc, char** argv) {
-///     bigk::bench::Harness harness("fig4a_speedup", &argc, argv);
-///     ... register_sim_benchmark(..., &harness.results, ...) ...
-///     const int rc = harness.run(argc, argv);
-///     if (rc != 0) return rc;
+///     bigk::bench::Harness harness("fig4a_speedup", argc, argv);
+///     ... harness.add("K-means/bigkernel", [&] { return ...; }) ...
+///     if (!harness.run() || !harness.write_outputs()) return 1;
 ///     print_table(harness.ctx, harness.results);
 ///   }
 class Harness {
@@ -182,16 +174,21 @@ class Harness {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
 
-  Harness(std::string name, int* argc, char** argv)
-      : ctx(Context::from_env()), name_(std::move(name)) {
-    strip_output_flags(argc, argv);
+  Harness(std::string name, int argc, char** argv) : name_(std::move(name)) {
+    try {
+      parse_flags(argc, argv);
+      ctx = Context::from_env();
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "error: %s\n", error.what());
+      std::exit(1);
+    }
     if (prof_window_us_ > 0) {
       ctx.scheme_config.prof_window =
           static_cast<sim::DurationPs>(prof_window_us_) * sim::kMicrosecond;
     }
     // The registry is always live (counters are cheap and feed the JSON
     // dump); the tracer only when a trace was requested, since it retains
-    // every span of every benchmark run.
+    // every span of every cell.
     ctx.scheme_config.metrics = &metrics;
     if (!trace_path_.empty()) ctx.scheme_config.tracer = &tracer;
     if (check_requested_) {
@@ -206,7 +203,8 @@ class Harness {
       // fault_spec() through ServerConfig so each device pool gets its own
       // plane.
       fault_plane_.emplace(fault_seed_);
-      fault_plane_->add_all(fault::FaultSpec::parse(fault_spec_));
+      fault_plane_->add_all(parse_or_exit(
+          "--fault", [&] { return fault::FaultSpec::parse(fault_spec_); }));
       fault_plane_->attach_observability(&metrics,
                                          ctx.scheme_config.tracer);
       ctx.scheme_config.fault_plane = &*fault_plane_;
@@ -216,16 +214,63 @@ class Harness {
     }
   }
 
-  /// Runs the registered benchmarks and, on success, writes the requested
-  /// output files.
-  int run(int argc, char** argv) {
-    const int rc = run_benchmarks(argc, argv);
-    if (rc != 0) return rc;
-    return write_outputs() ? 0 : 1;
+  /// Adds a cell: one named simulated run. Cells run in the order added.
+  void add(std::string name, std::function<schemes::RunMetrics()> run) {
+    cells_.push_back({std::move(name), std::move(run)});
   }
 
-  const std::string& metrics_path() const noexcept { return metrics_path_; }
-  const std::string& trace_path() const noexcept { return trace_path_; }
+  /// Runs every cell in order, keeps each result under the cell's name and
+  /// prints one line per cell. A cell that throws ends the run with
+  /// "error: <cell>: <what>" on stderr and a false return.
+  bool run() {
+    int width = 0;
+    for (const Cell& cell : cells_) {
+      width = std::max(width, static_cast<int>(cell.name.size()));
+    }
+    for (const Cell& cell : cells_) {
+      const auto start = std::chrono::steady_clock::now();
+      schemes::RunMetrics run_metrics;
+      try {
+        run_metrics = cell.run();
+      } catch (const std::exception& error) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "error: %s: %s\n", cell.name.c_str(),
+                     error.what());
+        return false;
+      }
+      const std::chrono::duration<double, std::milli> host =
+          std::chrono::steady_clock::now() - start;
+      std::printf("%-*s  sim_ms=%10.3f  h2d_MB=%9.3f  d2h_MB=%9.3f  "
+                  "host_ms=%9.1f\n",
+                  width, cell.name.c_str(),
+                  sim::to_milliseconds(run_metrics.total_time),
+                  static_cast<double>(run_metrics.h2d_bytes) / 1e6,
+                  static_cast<double>(run_metrics.d2h_bytes) / 1e6,
+                  host.count());
+      std::fflush(stdout);
+      results[cell.name] = run_metrics;
+    }
+    return true;
+  }
+
+  /// Runs `parse` on the value of `flag`; an exception exits 1 with
+  /// "error: <flag>: <what>" (the flag once, if `what` already starts with
+  /// it) instead of escaping main.
+  template <typename Parse>
+  static auto parse_or_exit(const char* flag, Parse parse)
+      -> decltype(parse()) {
+    try {
+      return parse();
+    } catch (const std::exception& error) {
+      const std::string_view what = error.what();
+      if (what.rfind(flag, 0) == 0) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+      } else {
+        std::fprintf(stderr, "error: %s: %s\n", flag, error.what());
+      }
+      std::exit(1);
+    }
+  }
 
   // Serving-layer knobs (--devices / --jobs / --policy).
   std::uint32_t devices() const noexcept { return devices_; }
@@ -264,19 +309,33 @@ class Harness {
   /// garbage, overflow) or out-of-range values — callers report the message
   /// and exit instead of silently clamping a typo into a valid split.
   static double parse_ratio(const std::string& value, const char* flag) {
-    const char* begin = value.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || errno == ERANGE) {
+    const std::optional<double> parsed = parse_double(value);
+    if (!parsed) {
       throw std::invalid_argument(std::string(flag) +
                                   " needs a number in [0, 1], got \"" +
                                   value + "\"");
     }
-    if (!(parsed >= 0.0 && parsed <= 1.0)) {  // negated: also rejects NaN
+    if (!(*parsed >= 0.0 && *parsed <= 1.0)) {  // negated: also rejects NaN
       throw std::invalid_argument(std::string(flag) +
                                   " must be within [0, 1], got \"" + value +
                                   "\"");
+    }
+    return *parsed;
+  }
+
+  /// Parses a positive decimal integer that fits in `T` for count-, byte-
+  /// and seed-valued flags. Throws std::invalid_argument naming the flag and
+  /// the value on empty input, signs, trailing garbage, zero or overflow.
+  template <typename T = std::uint32_t>
+  static T parse_count(const std::string& value, const char* flag) {
+    T parsed = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+    if (ec != std::errc{} || ptr != end || parsed == 0) {
+      throw std::invalid_argument(
+          std::string(flag) + " needs a positive integer up to " +
+          std::to_string(std::numeric_limits<T>::max()) + ", got \"" + value +
+          "\"");
     }
     return parsed;
   }
@@ -323,7 +382,7 @@ class Harness {
     return ok;
   }
 
-  /// The --metrics-json document: identification, one entry per benchmark
+  /// The --metrics-json document: identification, one entry per cell
   /// result (full RunMetrics incl. comm_fraction and the engine stage
   /// breakdown), and the cross-subsystem counter registry.
   void write_metrics_json(std::ostream& out) const {
@@ -344,7 +403,7 @@ class Harness {
   }
 
   /// The --bench-prof document consumed by scripts/bench_compare.py: one
-  /// entry per benchmark result with the timing, attribution, and traffic
+  /// entry per cell result with the timing, attribution, and traffic
   /// signals the regression gate diffs against a committed baseline. The
   /// result store is an ordered map and every value comes from the
   /// deterministic simulation, so two runs of the same build produce
@@ -382,10 +441,10 @@ class Harness {
   }
 
  private:
-  void strip_output_flags(int* argc, char** argv) {
+  /// Throws std::invalid_argument, naming the flag, on a malformed value.
+  void parse_flags(int argc, char** argv) {
     // Valued flags accept "--flag=value" and "--flag value"; `take` handles
     // both and consumes the value argument in the space-separated form.
-    int kept = 1;
     std::string value;
     const auto take = [&](int* i, std::string_view arg,
                           std::string_view flag) -> bool {
@@ -394,13 +453,14 @@ class Harness {
         value = arg.substr(flag.size() + 1);
         return true;
       }
-      if (arg == flag && *i + 1 < *argc) {
-        value = argv[++*i];
-        return true;
+      if (arg != flag) return false;
+      if (*i + 1 >= argc) {
+        throw std::invalid_argument(std::string(flag) + " needs a value");
       }
-      return false;
+      value = argv[++*i];
+      return true;
     };
-    for (int i = 1; i < *argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
       if (take(&i, arg, "--metrics-json")) {
         metrics_path_ = value;
@@ -418,15 +478,15 @@ class Harness {
         cache_requested_ = true;
       } else if (take(&i, arg, "--cache-bytes")) {
         cache_requested_ = true;
-        cache_bytes_ = parse_bytes(value, "--cache-bytes");
+        cache_bytes_ = parse_count<std::uint64_t>(value, "--cache-bytes");
       } else if (take(&i, arg, "--cache-policy")) {
         cache_requested_ = true;
-        cache_policy_ = cache::eviction_from_name(value);
+        cache_policy_ = parse_or_exit(
+            "--cache-policy", [&] { return cache::eviction_from_name(value); });
       } else if (take(&i, arg, "--fault")) {
         fault_spec_ = value;
       } else if (take(&i, arg, "--fault-seed")) {
-        fault_seed_ = static_cast<std::uint64_t>(parse_count(value,
-                                                             "--fault-seed"));
+        fault_seed_ = parse_count<std::uint64_t>(value, "--fault-seed");
       } else if (take(&i, arg, "--prof-window")) {
         prof_window_us_ = parse_count(value, "--prof-window");
       } else if (take(&i, arg, "--slo")) {
@@ -442,47 +502,21 @@ class Harness {
       } else if (take(&i, arg, "--offered-load")) {
         offered_load_ = value;
       } else if (take(&i, arg, "--cpu-ratio")) {
-        try {
-          cpu_ratio_ = parse_ratio(value, "--cpu-ratio");
-          cpu_ratio_set_ = true;
-        } catch (const std::invalid_argument& error) {
-          std::fprintf(stderr, "error: %s\n", error.what());
-          std::exit(1);
-        }
+        cpu_ratio_ = parse_ratio(value, "--cpu-ratio");
+        cpu_ratio_set_ = true;
+      } else if (arg == "--help") {
+        print_harness_help();
+        std::exit(0);
       } else {
-        if (arg == "--help") print_harness_help();
-        argv[kept++] = argv[i];  // --help falls through to google-benchmark
+        throw std::invalid_argument("unrecognized command-line flag: " +
+                                    std::string(arg));
       }
     }
-    for (int i = kept; i < *argc; ++i) argv[i] = nullptr;
-    *argc = kept;
-  }
-
-  static std::uint32_t parse_count(const std::string& value,
-                                   const char* flag) {
-    const long parsed = std::atol(value.c_str());
-    if (parsed <= 0) {
-      std::fprintf(stderr, "error: %s needs a positive integer, got \"%s\"\n",
-                   flag, value.c_str());
-      std::exit(1);
-    }
-    return static_cast<std::uint32_t>(parsed);
-  }
-
-  static std::uint64_t parse_bytes(const std::string& value,
-                                   const char* flag) {
-    const long long parsed = std::atoll(value.c_str());
-    if (parsed <= 0) {
-      std::fprintf(stderr, "error: %s needs a positive byte count, got \"%s\"\n",
-                   flag, value.c_str());
-      std::exit(1);
-    }
-    return static_cast<std::uint64_t>(parsed);
   }
 
   static void print_harness_help() {
     std::printf(
-        "bigk harness flags (in addition to google-benchmark's):\n"
+        "bigk bench flags:\n"
         "  --metrics-json=<file>  write results + telemetry counters as JSON\n"
         "  --trace-out=<file>     write a Chrome-tracing/Perfetto timeline\n"
         "  --check                run under the bigkcheck sanitizers\n"
@@ -498,7 +532,7 @@ class Harness {
         "                         device pool (e.g. dma_error,nth=3)\n"
         "  --fault-seed <N>       fault-plane seed (default 1)\n"
         "  --prof-window <us>     bigkprof attribution window in simulated\n"
-        "                         microseconds (0 = run-level only)\n"
+        "                         microseconds (omit for run-level only)\n"
         "  --slo <rules>          serving benches: ';'-separated SLO rules,\n"
         "                         e.g. \"p99_ms <= 5; utilization >= 0.2\"\n"
         "  --bench-prof=<file>    write the BENCH_prof.json perf baseline\n"
@@ -512,7 +546,7 @@ class Harness {
         "  --cpu-ratio <r>        bigkhetero: CPU share of each chunk window\n"
         "                         in [0, 1]; malformed/out-of-range values\n"
         "                         are rejected, not clamped\n"
-        "Valued flags accept both --flag=value and --flag value.\n\n");
+        "Valued flags accept both --flag=value and --flag value.\n");
   }
 
   std::string name_;
@@ -537,6 +571,12 @@ class Harness {
   std::string offered_load_;
   double cpu_ratio_ = 0.25;
   bool cpu_ratio_set_ = false;
+
+  struct Cell {
+    std::string name;
+    std::function<schemes::RunMetrics()> run;
+  };
+  std::vector<Cell> cells_;
 };
 
 }  // namespace bigk::bench

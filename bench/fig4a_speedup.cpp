@@ -72,9 +72,8 @@ void print_table(const Context& ctx, const ResultStore& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bigk::bench::Harness harness("fig4a_speedup", &argc, argv);
+  bigk::bench::Harness harness("fig4a_speedup", argc, argv);
   Context& ctx = harness.ctx;
-  ResultStore& results = harness.results;
   for (const auto& app : ctx.suite) {
     for (Scheme scheme : kSchemes) {
       const char* tag = nullptr;
@@ -86,15 +85,14 @@ int main(int argc, char** argv) {
         case Scheme::kBigKernel: tag = "bigkernel"; break;
         case Scheme::kHetero: continue;  // swept by hetero_sweep instead
       }
-      bigk::bench::register_sim_benchmark(
-          app.name + "/" + tag, &results,
+      harness.add(
+          app.name + "/" + tag,
           [&ctx, &app, scheme] {
             return app.run(scheme, ctx.config, ctx.scheme_config);
           });
     }
   }
-  const int rc = harness.run(argc, argv);
-  if (rc != 0) return rc;
-  print_table(ctx, results);
+  if (!harness.run() || !harness.write_outputs()) return 1;
+  print_table(ctx, harness.results);
   return 0;
 }

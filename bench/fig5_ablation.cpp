@@ -42,12 +42,11 @@ void print_table(const Context& ctx, const ResultStore& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bigk::bench::Harness harness("fig5_ablation", &argc, argv);
+  bigk::bench::Harness harness("fig5_ablation", argc, argv);
   Context& ctx = harness.ctx;
-  ResultStore& results = harness.results;
   for (const auto& app : ctx.suite) {
-    bigk::bench::register_sim_benchmark(
-        app.name + "/gpu-single", &results, [&ctx, &app] {
+    harness.add(
+        app.name + "/gpu-single", [&ctx, &app] {
           return app.run(bigk::schemes::Scheme::kGpuSingleBuffer, ctx.config,
                          ctx.scheme_config);
         });
@@ -61,8 +60,8 @@ int main(int argc, char** argv) {
         {"full", bigk::core::Options::full()},
     };
     for (const Variant& variant : variants) {
-      bigk::bench::register_sim_benchmark(
-          app.name + "/" + variant.tag, &results,
+      harness.add(
+          app.name + "/" + variant.tag,
           [&ctx, &app, options = variant.options] {
             bigk::schemes::SchemeConfig sc = ctx.scheme_config;
             bigk::core::Options merged = options;
@@ -74,8 +73,7 @@ int main(int argc, char** argv) {
           });
     }
   }
-  const int rc = harness.run(argc, argv);
-  if (rc != 0) return rc;
-  print_table(ctx, results);
+  if (!harness.run() || !harness.write_outputs()) return 1;
+  print_table(ctx, harness.results);
   return 0;
 }

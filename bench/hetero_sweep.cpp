@@ -79,9 +79,8 @@ void print_table(const Context& ctx, const ResultStore& results,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bigk::bench::Harness harness("hetero_sweep", &argc, argv);
+  bigk::bench::Harness harness("hetero_sweep", argc, argv);
   Context& ctx = harness.ctx;
-  ResultStore& results = harness.results;
   std::vector<double> grid = {0.25, 0.5, 0.75};
   if (harness.cpu_ratio_set()) grid = {harness.cpu_ratio()};
   for (const auto& app : ctx.suite) {
@@ -97,25 +96,24 @@ int main(int argc, char** argv) {
       sc.hetero.dynamic = dynamic;
       return app.run(Scheme::kHetero, ctx.config, sc);
     };
-    bigk::bench::register_sim_benchmark(
-        app.name + "/cpu-only", &results,
+    harness.add(
+        app.name + "/cpu-only",
         [run_at] { return run_at(1.0, false); });
-    bigk::bench::register_sim_benchmark(
-        app.name + "/gpu-only", &results,
+    harness.add(
+        app.name + "/gpu-only",
         [run_at] { return run_at(0.0, false); });
     for (double ratio : grid) {
-      bigk::bench::register_sim_benchmark(
-          app.name + "/" + ratio_tag(ratio), &results,
+      harness.add(
+          app.name + "/" + ratio_tag(ratio),
           [run_at, ratio] { return run_at(ratio, false); });
     }
-    bigk::bench::register_sim_benchmark(
-        app.name + "/dynamic", &results,
+    harness.add(
+        app.name + "/dynamic",
         [run_at, &ctx] {
           return run_at(ctx.scheme_config.hetero.cpu_ratio, true);
         });
   }
-  const int rc = harness.run(argc, argv);
-  if (rc != 0) return rc;
-  print_table(ctx, results, grid);
+  if (!harness.run() || !harness.write_outputs()) return 1;
+  print_table(ctx, harness.results, grid);
   return 0;
 }

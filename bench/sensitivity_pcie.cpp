@@ -50,28 +50,26 @@ void print_table(const Context& ctx, const ResultStore& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bigk::bench::Harness harness("sensitivity_pcie", &argc, argv);
+  bigk::bench::Harness harness("sensitivity_pcie", argc, argv);
   Context& ctx = harness.ctx;
-  ResultStore& results = harness.results;
   for (const auto& app : ctx.suite) {
     for (double gbps : kBandwidths) {
       SystemConfig config = ctx.config;
       config.pcie.h2d_gbps = gbps;
       config.pcie.d2h_gbps = gbps;
-      bigk::bench::register_sim_benchmark(
-          key(app.name, gbps, "double"), &results, [&ctx, &app, config] {
+      harness.add(
+          key(app.name, gbps, "double"), [&ctx, &app, config] {
             return app.run(bigk::schemes::Scheme::kGpuDoubleBuffer, config,
                            ctx.scheme_config);
           });
-      bigk::bench::register_sim_benchmark(
-          key(app.name, gbps, "bigkernel"), &results, [&ctx, &app, config] {
+      harness.add(
+          key(app.name, gbps, "bigkernel"), [&ctx, &app, config] {
             return app.run(bigk::schemes::Scheme::kBigKernel, config,
                            ctx.scheme_config);
           });
     }
   }
-  const int rc = harness.run(argc, argv);
-  if (rc != 0) return rc;
-  print_table(ctx, results);
+  if (!harness.run() || !harness.write_outputs()) return 1;
+  print_table(ctx, harness.results);
   return 0;
 }

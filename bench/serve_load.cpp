@@ -40,26 +40,15 @@
 #include "load/generator.hpp"
 #include "serve/job.hpp"
 #include "serve/server.hpp"
+#include "serve_metrics.hpp"
 
 namespace {
 
 using bigk::bench::Harness;
+using bigk::bench::to_run_metrics;
 namespace load = bigk::load;
 namespace serve = bigk::serve;
-namespace schemes = bigk::schemes;
 namespace sim = bigk::sim;
-
-schemes::RunMetrics to_run_metrics(const serve::ServeReport& report) {
-  schemes::RunMetrics metrics;
-  metrics.scheme = schemes::Scheme::kBigKernel;
-  metrics.total_time = report.makespan;
-  for (const serve::DeviceReport& dev : report.devices) {
-    metrics.h2d_bytes += dev.h2d_bytes;
-    metrics.d2h_bytes += dev.d2h_bytes;
-    metrics.kernel_launches += dev.kernel_launches;
-  }
-  return metrics;
-}
 
 std::vector<double> parse_multipliers(const std::string& text) {
   std::vector<double> multipliers;
@@ -119,11 +108,12 @@ void print_report_line(const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Harness harness("serve_load", &argc, argv);
+  Harness harness("serve_load", argc, argv);
   auto& ctx = harness.ctx;
   const std::uint32_t devices = std::max(2u, harness.devices());
   const std::uint32_t jobs = harness.jobs();
-  const serve::Policy policy = serve::policy_from_name(harness.policy());
+  const serve::Policy policy = Harness::parse_or_exit(
+      "--policy", [&] { return serve::policy_from_name(harness.policy()); });
   const std::vector<double> multipliers = parse_multipliers(
       harness.offered_load().empty() ? "0.5,1.5,2.5"
                                      : harness.offered_load());
@@ -131,13 +121,15 @@ int main(int argc, char** argv) {
   // calibrated capacity (the seed stays, so --arrival pins determinism).
   load::ArrivalSpec arrival_base;
   if (!harness.arrival_spec().empty()) {
-    arrival_base = load::ArrivalSpec::parse(harness.arrival_spec());
+    arrival_base = Harness::parse_or_exit("--arrival", [&] {
+      return load::ArrivalSpec::parse(harness.arrival_spec());
+    });
   }
 
   std::map<std::string, serve::ServeReport> reports;
   const std::vector<std::string> app_names = bigk::apps::app_names(ctx.suite);
-  // Measured by load/calibrate (runs first); the sweep lambdas read it at
-  // benchmark-execution time.
+  // Measured by load/calibrate (runs first); the later cells read it when
+  // they run.
   double capacity = 0.0;
 
   const auto base_config = [&](const std::string& prefix) {
@@ -207,8 +199,8 @@ int main(int argc, char** argv) {
   };
 
   // --- load/calibrate: the pool's capacity on a batch workload -------------
-  bigk::bench::register_sim_benchmark(
-      "load/calibrate", &harness.results, [&] {
+  harness.add(
+      "load/calibrate", [&] {
         serve::ServerConfig config = base_config("load.calibrate");
         config.queue_depth = devices;  // late-bound placement, like serve/
         config.max_retries = 100'000;
@@ -230,8 +222,8 @@ int main(int argc, char** argv) {
          {serve::Discipline::kFifo, serve::Discipline::kWfq}) {
       const std::string key = "sweep/x" + std::to_string(pct) + "/" +
                               serve::discipline_name(discipline);
-      bigk::bench::register_sim_benchmark(
-          "load/" + key, &harness.results, [&, key, multiplier, discipline] {
+      harness.add(
+          "load/" + key, [&, key, multiplier, discipline] {
             serve::ServerConfig config =
                 base_config("load." + std::string("sweep.x") +
                             std::to_string(static_cast<int>(
@@ -249,8 +241,8 @@ int main(int argc, char** argv) {
   }
 
   // --- load/balanced: four equal tenants, fairness headline ----------------
-  bigk::bench::register_sim_benchmark(
-      "load/balanced/wfq", &harness.results, [&] {
+  harness.add(
+      "load/balanced/wfq", [&] {
         serve::ServerConfig config = base_config("load.balanced");
         load::LoadConfig lc;
         lc.arrival = arrival_base;
@@ -268,8 +260,8 @@ int main(int argc, char** argv) {
       });
 
   // --- load/autoscale: MMPP burst against a min_active=1 pool --------------
-  bigk::bench::register_sim_benchmark(
-      "load/autoscale", &harness.results, [&] {
+  harness.add(
+      "load/autoscale", [&] {
         serve::ServerConfig config = base_config("load.autoscale");
         config.qos.autoscaler.enabled = true;
         config.qos.autoscaler.min_active = 1;
@@ -290,8 +282,8 @@ int main(int argc, char** argv) {
       });
 
   // --- load/closed: think-time-paced per-client chains ---------------------
-  bigk::bench::register_sim_benchmark(
-      "load/closed", &harness.results, [&] {
+  harness.add(
+      "load/closed", [&] {
         serve::ServerConfig config = base_config("load.closed");
         load::LoadConfig lc;
         lc.arrival = arrival_base;
@@ -309,8 +301,7 @@ int main(int argc, char** argv) {
         return run_load("closed", config, lc);
       });
 
-  const int rc = bigk::bench::run_benchmarks(argc, argv);
-  if (rc != 0) return rc;
+  if (!harness.run()) return 1;
 
   // Headline gauges: capacity and, per sweep point, the LC tenant's
   // attainment delta (wfq - fifo).
@@ -319,7 +310,6 @@ int main(int argc, char** argv) {
     const int pct = static_cast<int>(multiplier * 100.0 + 0.5);
     const std::string fifo_key = "sweep/x" + std::to_string(pct) + "/fifo";
     const std::string wfq_key = "sweep/x" + std::to_string(pct) + "/wfq";
-    if (reports.count(fifo_key) == 0 || reports.count(wfq_key) == 0) continue;
     if (reports[fifo_key].tenants.empty() ||
         reports[wfq_key].tenants.empty()) {
       continue;
@@ -337,14 +327,12 @@ int main(int argc, char** argv) {
   std::printf("devices=%u jobs=%u policy=%s capacity=%.0f jobs/s\n", devices,
               jobs, serve::policy_name(policy), capacity);
   for (const auto& [name, report] : reports) print_report_line(name, report);
-  if (reports.count("autoscale") != 0) {
-    const serve::ServeReport& autoscale = reports["autoscale"];
-    std::printf("\nautoscale: %llu scale-ups / %llu scale-downs, active "
-                "devices [%u..%u], final %u\n",
-                static_cast<unsigned long long>(autoscale.scale_ups),
-                static_cast<unsigned long long>(autoscale.scale_downs),
-                autoscale.min_active_devices, autoscale.max_active_devices,
-                autoscale.final_active_devices);
-  }
+  const serve::ServeReport& autoscale = reports["autoscale"];
+  std::printf("\nautoscale: %llu scale-ups / %llu scale-downs, active "
+              "devices [%u..%u], final %u\n",
+              static_cast<unsigned long long>(autoscale.scale_ups),
+              static_cast<unsigned long long>(autoscale.scale_downs),
+              autoscale.min_active_devices, autoscale.max_active_devices,
+              autoscale.final_active_devices);
   return 0;
 }

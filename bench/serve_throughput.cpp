@@ -59,25 +59,14 @@
 #include "dur/journal.hpp"
 #include "serve/job.hpp"
 #include "serve/server.hpp"
+#include "serve_metrics.hpp"
 
 namespace {
 
 using bigk::bench::Harness;
+using bigk::bench::to_run_metrics;
 namespace serve = bigk::serve;
-namespace schemes = bigk::schemes;
 namespace sim = bigk::sim;
-
-schemes::RunMetrics to_run_metrics(const serve::ServeReport& report) {
-  schemes::RunMetrics metrics;
-  metrics.scheme = schemes::Scheme::kBigKernel;
-  metrics.total_time = report.makespan;
-  for (const serve::DeviceReport& dev : report.devices) {
-    metrics.h2d_bytes += dev.h2d_bytes;
-    metrics.d2h_bytes += dev.d2h_bytes;
-    metrics.kernel_launches += dev.kernel_launches;
-  }
-  return metrics;
-}
 
 /// bigkdur crash/restart support: a JobRunner that forwards to a shared
 /// persistent runner. The serve layer builds a fresh runner per job, so the
@@ -130,11 +119,12 @@ void print_report_line(const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Harness harness("serve_throughput", &argc, argv);
+  Harness harness("serve_throughput", argc, argv);
   auto& ctx = harness.ctx;
   const std::uint32_t devices = harness.devices();
   const std::uint32_t jobs = harness.jobs();
-  const serve::Policy policy = serve::policy_from_name(harness.policy());
+  const serve::Policy policy = Harness::parse_or_exit(
+      "--policy", [&] { return serve::policy_from_name(harness.policy()); });
 
   std::map<std::string, serve::ServeReport> reports;
 
@@ -189,8 +179,8 @@ int main(int argc, char** argv) {
   mixed.seed = 2014;
   mixed.mean_gap = 0;  // batch arrival: the shallow queue late-binds placement
 
-  bigk::bench::register_sim_benchmark(
-      "serve/mixed/devices1", &harness.results, [&, mixed] {
+  harness.add(
+      "serve/mixed/devices1", [&, mixed] {
         return run_serve("mixed/devices1",
                          base_config(1, policy, "serve.mixed.devices1"),
                          mixed);
@@ -198,8 +188,8 @@ int main(int argc, char** argv) {
   const std::string pool_key =
       "mixed/devices" + std::to_string(devices);
   if (devices > 1) {
-    bigk::bench::register_sim_benchmark(
-        "serve/" + pool_key, &harness.results, [&, mixed] {
+    harness.add(
+        "serve/" + pool_key, [&, mixed] {
           return run_serve(pool_key,
                            base_config(devices, policy,
                                        "serve.mixed.devices" +
@@ -219,15 +209,15 @@ int main(int argc, char** argv) {
   if (reuse_apps.size() > reuse_devices) reuse_apps.resize(reuse_devices);
   serve::WorkloadConfig reuse = mixed;
   reuse.seed = 4242;
-  bigk::bench::register_sim_benchmark(
-      "serve/reuse/round-robin", &harness.results, [&, reuse, reuse_apps] {
+  harness.add(
+      "serve/reuse/round-robin", [&, reuse, reuse_apps] {
         return run_serve("reuse/round-robin",
                          base_config(reuse_devices, serve::Policy::kRoundRobin,
                                      "serve.reuse.round-robin"),
                          reuse, reuse_apps);
       });
-  bigk::bench::register_sim_benchmark(
-      "serve/reuse/app-affinity", &harness.results, [&, reuse, reuse_apps] {
+  harness.add(
+      "serve/reuse/app-affinity", [&, reuse, reuse_apps] {
         return run_serve("reuse/app-affinity",
                          base_config(reuse_devices,
                                      serve::Policy::kAppAffinity,
@@ -237,8 +227,8 @@ int main(int argc, char** argv) {
   if (harness.cache_requested()) {
     // Same reuse mix + per-device chunk cache: the no-cache app-affinity run
     // above stays as the A/B comparator for hit rate and PCIe savings.
-    bigk::bench::register_sim_benchmark(
-        "serve/reuse/app-affinity+cache", &harness.results,
+    harness.add(
+        "serve/reuse/app-affinity+cache",
         [&, reuse, reuse_apps] {
           serve::ServerConfig config =
               base_config(reuse_devices, serve::Policy::kAppAffinity,
@@ -256,8 +246,8 @@ int main(int argc, char** argv) {
   // daemon reinstates it after the outage, and every job must still finish.
   // An explicit --fault spec replaces the default outage.
   const std::uint32_t recover_devices = std::max(devices, 4u);
-  bigk::bench::register_sim_benchmark(
-      "serve/recover", &harness.results, [&, mixed] {
+  harness.add(
+      "serve/recover", [&, mixed] {
         serve::ServerConfig config =
             base_config(recover_devices, policy, "serve.recover");
         if (config.fault_spec.empty()) {
@@ -269,8 +259,8 @@ int main(int argc, char** argv) {
 
   // Saturating burst against a tiny queue: admission control sheds load with
   // retry-after instead of building an unbounded backlog.
-  bigk::bench::register_sim_benchmark(
-      "serve/shed", &harness.results, [&, mixed] {
+  harness.add(
+      "serve/shed", [&, mixed] {
         serve::ServerConfig config =
             base_config(devices, policy, "serve.shed");
         config.queue_depth = 2;
@@ -284,8 +274,8 @@ int main(int argc, char** argv) {
   // the spill depth bypasses the device queue and runs on the host cores
   // (no staging, no DMA). Nothing may drop or fail — the host side is a
   // slower but always-available executor.
-  bigk::bench::register_sim_benchmark(
-      "serve/spill", &harness.results, [&, mixed] {
+  harness.add(
+      "serve/spill", [&, mixed] {
         serve::ServerConfig config = base_config(1, policy, "serve.spill");
         config.queue_depth = 16;
         config.hetero.spill_enabled = true;
@@ -300,8 +290,8 @@ int main(int argc, char** argv) {
   // hit, or by the scrub daemon — and the retry/restage path must leave the
   // output clean with zero failed jobs. An explicit --fault spec replaces
   // the default bit-flip mix.
-  bigk::bench::register_sim_benchmark(
-      "serve/dur/integrity", &harness.results, [&, reuse, reuse_apps] {
+  harness.add(
+      "serve/dur/integrity", [&, reuse, reuse_apps] {
         serve::ServerConfig config =
             base_config(reuse_devices, serve::Policy::kAppAffinity,
                         "serve.dur.integrity");
@@ -390,8 +380,8 @@ int main(int argc, char** argv) {
     config.dur.crash_at = dur_state->crash_at;
     serve::run_server(config, dur_specs, dur_state->durable_suite);
   };
-  bigk::bench::register_sim_benchmark(
-      "serve/dur/resume", &harness.results, [&] {
+  harness.add(
+      "serve/dur/resume", [&] {
         dur_prepare();
         bigk::dur::JobJournal journal;
         dur_crash_run(journal);
@@ -401,8 +391,8 @@ int main(int argc, char** argv) {
             serve::run_server(config, dur_specs, dur_state->durable_suite);
         return to_run_metrics(reports["dur/resume"]);
       });
-  bigk::bench::register_sim_benchmark(
-      "serve/dur/restart", &harness.results, [&] {
+  harness.add(
+      "serve/dur/restart", [&] {
         dur_prepare();
         bigk::dur::JobJournal journal;
         dur_crash_run(journal);
@@ -415,14 +405,12 @@ int main(int argc, char** argv) {
         return to_run_metrics(reports["dur/restart"]);
       });
 
-  const int rc = bigk::bench::run_benchmarks(argc, argv);
-  if (rc != 0) return rc;
+  if (!harness.run()) return 1;
 
   // Device-pool scaling headline: throughput ratio of the pool vs. one
   // device on the identical workload.
   double scaling = 0.0;
-  if (devices > 1 && reports.count("mixed/devices1") != 0 &&
-      reports.count(pool_key) != 0) {
+  if (devices > 1) {
     const double base = reports["mixed/devices1"].throughput_jobs_per_s;
     if (base > 0.0) {
       scaling = reports[pool_key].throughput_jobs_per_s / base;
@@ -446,25 +434,22 @@ int main(int argc, char** argv) {
         .set(static_cast<double>(cached.cache_bytes_saved));
     harness.metrics.gauge("serve.cache.h2d_bytes")
         .set(static_cast<double>(h2d_cache));
-    if (reports.count("reuse/app-affinity") != 0) {
-      for (const serve::DeviceReport& dev :
-           reports["reuse/app-affinity"].devices) {
-        h2d_nocache += dev.h2d_bytes;
-      }
-      harness.metrics.gauge("serve.nocache.h2d_bytes")
-          .set(static_cast<double>(h2d_nocache));
+    for (const serve::DeviceReport& dev :
+         reports["reuse/app-affinity"].devices) {
+      h2d_nocache += dev.h2d_bytes;
     }
+    harness.metrics.gauge("serve.nocache.h2d_bytes")
+        .set(static_cast<double>(h2d_nocache));
   }
   // bigkdur headline: checkpoint-resume goodput against the from-zero
   // restart on the identical crash.
   double resume_speedup = 0.0;
-  if (reports.count("dur/resume") != 0 && reports.count("dur/restart") != 0) {
-    const double resume = reports["dur/resume"].throughput_jobs_per_s;
-    const double restart = reports["dur/restart"].throughput_jobs_per_s;
-    if (restart > 0.0) {
-      resume_speedup = resume / restart;
-      harness.metrics.gauge("serve.dur.resume_speedup").set(resume_speedup);
-    }
+  const double restart_throughput =
+      reports["dur/restart"].throughput_jobs_per_s;
+  if (restart_throughput > 0.0) {
+    resume_speedup =
+        reports["dur/resume"].throughput_jobs_per_s / restart_throughput;
+    harness.metrics.gauge("serve.dur.resume_speedup").set(resume_speedup);
   }
   if (!harness.write_outputs()) return 1;
 
@@ -477,54 +462,45 @@ int main(int argc, char** argv) {
     std::printf("\nscaling: %u devices deliver %.2fx the single-device job "
                 "throughput\n", devices, scaling);
   }
-  if (reports.count("reuse/round-robin") != 0 &&
-      reports.count("reuse/app-affinity") != 0) {
-    const auto& rr = reports["reuse/round-robin"];
-    const auto& aff = reports["reuse/app-affinity"];
-    if (aff.throughput_jobs_per_s > 0.0 && rr.throughput_jobs_per_s > 0.0) {
-      std::printf("affinity: %.2fx round-robin throughput on the reuse-heavy "
-                  "mix (%llu warm hits vs %llu)\n",
-                  aff.throughput_jobs_per_s / rr.throughput_jobs_per_s,
-                  static_cast<unsigned long long>(aff.warm_hits),
-                  static_cast<unsigned long long>(rr.warm_hits));
-    }
+  const serve::ServeReport& rr = reports["reuse/round-robin"];
+  const serve::ServeReport& aff = reports["reuse/app-affinity"];
+  if (aff.throughput_jobs_per_s > 0.0 && rr.throughput_jobs_per_s > 0.0) {
+    std::printf("affinity: %.2fx round-robin throughput on the reuse-heavy "
+                "mix (%llu warm hits vs %llu)\n",
+                aff.throughput_jobs_per_s / rr.throughput_jobs_per_s,
+                static_cast<unsigned long long>(aff.warm_hits),
+                static_cast<unsigned long long>(rr.warm_hits));
   }
-  if (reports.count("recover") != 0) {
-    const serve::ServeReport& recover = reports["recover"];
-    std::printf("recover: %llu injected / %llu recovered, %llu quarantines, "
-                "%llu reinstatements, %llu redispatches, %llu failed jobs "
-                "across %u devices\n",
-                static_cast<unsigned long long>(recover.fault_injected),
-                static_cast<unsigned long long>(recover.fault_recovered),
-                static_cast<unsigned long long>(recover.quarantines),
-                static_cast<unsigned long long>(recover.reinstatements),
-                static_cast<unsigned long long>(recover.redispatches),
-                static_cast<unsigned long long>(recover.failed_jobs),
-                recover_devices);
-  }
-  if (reports.count("spill") != 0) {
-    const serve::ServeReport& spill = reports["spill"];
-    std::printf("spill: %llu of %llu jobs spilled to host cores "
-                "(%llu cpu-completed, %llu failed) once the single device "
-                "backed up past depth 2\n",
-                static_cast<unsigned long long>(spill.spills),
-                static_cast<unsigned long long>(spill.jobs.size()),
-                static_cast<unsigned long long>(spill.cpu_completed),
-                static_cast<unsigned long long>(spill.failed_jobs));
-  }
-  if (reports.count("dur/integrity") != 0) {
-    const serve::ServeReport& dur = reports["dur/integrity"];
-    std::printf("integrity: %llu bit flips injected, %llu detected / %llu "
-                "repaired across %llu verifications (%llu scrubbed, %llu "
-                "scrub evictions), %llu failed jobs\n",
-                static_cast<unsigned long long>(dur.bitflips_injected),
-                static_cast<unsigned long long>(dur.integrity_detected),
-                static_cast<unsigned long long>(dur.integrity_repaired),
-                static_cast<unsigned long long>(dur.integrity_verified),
-                static_cast<unsigned long long>(dur.scrub_checked),
-                static_cast<unsigned long long>(dur.scrub_evictions),
-                static_cast<unsigned long long>(dur.failed_jobs));
-  }
+  const serve::ServeReport& recover = reports["recover"];
+  std::printf("recover: %llu injected / %llu recovered, %llu quarantines, "
+              "%llu reinstatements, %llu redispatches, %llu failed jobs "
+              "across %u devices\n",
+              static_cast<unsigned long long>(recover.fault_injected),
+              static_cast<unsigned long long>(recover.fault_recovered),
+              static_cast<unsigned long long>(recover.quarantines),
+              static_cast<unsigned long long>(recover.reinstatements),
+              static_cast<unsigned long long>(recover.redispatches),
+              static_cast<unsigned long long>(recover.failed_jobs),
+              recover_devices);
+  const serve::ServeReport& spill = reports["spill"];
+  std::printf("spill: %llu of %llu jobs spilled to host cores "
+              "(%llu cpu-completed, %llu failed) once the single device "
+              "backed up past depth 2\n",
+              static_cast<unsigned long long>(spill.spills),
+              static_cast<unsigned long long>(spill.jobs.size()),
+              static_cast<unsigned long long>(spill.cpu_completed),
+              static_cast<unsigned long long>(spill.failed_jobs));
+  const serve::ServeReport& dur = reports["dur/integrity"];
+  std::printf("integrity: %llu bit flips injected, %llu detected / %llu "
+              "repaired across %llu verifications (%llu scrubbed, %llu "
+              "scrub evictions), %llu failed jobs\n",
+              static_cast<unsigned long long>(dur.bitflips_injected),
+              static_cast<unsigned long long>(dur.integrity_detected),
+              static_cast<unsigned long long>(dur.integrity_repaired),
+              static_cast<unsigned long long>(dur.integrity_verified),
+              static_cast<unsigned long long>(dur.scrub_checked),
+              static_cast<unsigned long long>(dur.scrub_evictions),
+              static_cast<unsigned long long>(dur.failed_jobs));
   if (resume_speedup > 0.0) {
     const serve::ServeReport& resume = reports["dur/resume"];
     const serve::ServeReport& restart = reports["dur/restart"];

@@ -43,18 +43,16 @@ void print_table(const Context& ctx, const ResultStore& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bigk::bench::Harness harness("table1_datasets", &argc, argv);
+  bigk::bench::Harness harness("table1_datasets", argc, argv);
   Context& ctx = harness.ctx;
-  ResultStore& results = harness.results;
   for (const auto& app : ctx.suite) {
-    bigk::bench::register_sim_benchmark(
-        app.name + "/bigkernel", &results, [&ctx, &app] {
+    harness.add(
+        app.name + "/bigkernel", [&ctx, &app] {
           return app.run(bigk::schemes::Scheme::kBigKernel, ctx.config,
                          ctx.scheme_config);
         });
   }
-  const int rc = harness.run(argc, argv);
-  if (rc != 0) return rc;
-  print_table(ctx, results);
+  if (!harness.run() || !harness.write_outputs()) return 1;
+  print_table(ctx, harness.results);
   return 0;
 }

@@ -46,13 +46,12 @@ void print_table(const Context& ctx, const ResultStore& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bigk::bench::Harness harness("table2_pattern", &argc, argv);
+  bigk::bench::Harness harness("table2_pattern", argc, argv);
   Context& ctx = harness.ctx;
-  ResultStore& results = harness.results;
   for (const auto& app : ctx.suite) {
     for (bool enabled : {true, false}) {
-      bigk::bench::register_sim_benchmark(
-          app.name + (enabled ? "/pattern-on" : "/pattern-off"), &results,
+      harness.add(
+          app.name + (enabled ? "/pattern-on" : "/pattern-off"),
           [&ctx, &app, enabled] {
             bigk::schemes::SchemeConfig sc = ctx.scheme_config;
             sc.bigkernel.pattern_recognition = enabled;
@@ -60,8 +59,7 @@ int main(int argc, char** argv) {
           });
     }
   }
-  const int rc = harness.run(argc, argv);
-  if (rc != 0) return rc;
-  print_table(ctx, results);
+  if (!harness.run() || !harness.write_outputs()) return 1;
+  print_table(ctx, harness.results);
   return 0;
 }

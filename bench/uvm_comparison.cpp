@@ -47,37 +47,22 @@ void print_table(const Context& ctx, const ResultStore& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bigk::bench::Harness harness("uvm_comparison", &argc, argv);
+  bigk::bench::Harness harness("uvm_comparison", argc, argv);
   Context& ctx = harness.ctx;
-  ResultStore& results = harness.results;
   for (const auto& app : ctx.suite) {
-    bigk::bench::register_sim_benchmark(
-        app.name + "/bigkernel", &results, [&ctx, &app] {
+    harness.add(
+        app.name + "/bigkernel", [&ctx, &app] {
           return app.run(bigk::schemes::Scheme::kBigKernel, ctx.config,
                          ctx.scheme_config);
         });
   }
-  // UVM runs need the concrete app types; rebuild them through the suite's
-  // runner with a dedicated scheme is not possible, so instantiate directly.
-  ResultStore* store = &results;
-  auto add_uvm = [&ctx, store](const std::string& name, auto make_app) {
-    benchmark::RegisterBenchmark(
-        (name + "/uvm").c_str(),
-        [&ctx, store, name, make_app](benchmark::State& state) {
-          auto app = make_app();
-          bigk::schemes::RunMetrics metrics;
-          for (auto _ : state) {
-            metrics = bigk::schemes::run_gpu_uvm(ctx.config, app,
-                                                 ctx.scheme_config);
-            state.SetIterationTime(bigk::sim::to_seconds(metrics.total_time));
-          }
-          state.counters["sim_ms"] =
-              bigk::sim::to_milliseconds(metrics.total_time);
-          (*store)[name + "/uvm"] = metrics;
-        })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+  // UVM runs need the concrete app types, so each cell builds its app
+  // directly instead of going through the suite's runner.
+  auto add_uvm = [&harness, &ctx](const std::string& name, auto make_app) {
+    harness.add(name + "/uvm", [&ctx, make_app] {
+      auto app = make_app();
+      return bigk::schemes::run_gpu_uvm(ctx.config, app, ctx.scheme_config);
+    });
   };
   const auto& scaled = ctx.scaled;
   add_uvm("K-means", [scaled] {
@@ -102,8 +87,7 @@ int main(int argc, char** argv) {
     return bigk::apps::MastercardIndexedApp({scaled.data_bytes(6.4), 77});
   });
 
-  const int rc = harness.run(argc, argv);
-  if (rc != 0) return rc;
-  print_table(ctx, results);
+  if (!harness.run() || !harness.write_outputs()) return 1;
+  print_table(ctx, harness.results);
   return 0;
 }

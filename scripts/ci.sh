@@ -49,6 +49,17 @@ for preset in "${presets[@]}"; do
         --baseline "${repo_root}/bench/BENCH_prof.json" \
         --bench "${repo_root}/build-ci-plain/bench/fig6_stages" \
         --scale 0.001
+      # Smoke every table bench once (ctest runs only fig6_stages and the
+      # serve benches). 0.002 is the smallest scale tried at which all ten
+      # complete; below it some cells run out of device memory, and a failing
+      # cell exits non-zero naming itself.
+      echo "=== ci preset plain: table bench smoke (BIGK_SCALE=0.002) ==="
+      for bench in table1_datasets fig4a_speedup fig4b_comp_comm \
+          fig5_ablation fig6_stages table2_pattern ablation_design \
+          uvm_comparison sensitivity_pcie hetero_sweep; do
+        echo "--- ${bench}"
+        BIGK_SCALE=0.002 "${repo_root}/build-ci-plain/bench/${bench}"
+      done
       ;;
     asan-ubsan)
       # -fno-sanitize-recover makes every UBSan report abort its test, so
